@@ -1,8 +1,9 @@
 """Command line interface: normal forms, lengths, presentations, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration cap exceeded.  All diagnostics go to stderr; with --json the
-payload on stdout is a single object with family, rank, command, result.
+3 enumeration cap exceeded or unit group too large to build.  All
+diagnostics go to stderr; with --json the payload on stdout is a single
+object with family, rank, command, result.
 """
 
 from __future__ import annotations
@@ -261,10 +262,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         engine = RennerMonoid(args.family, args.rank)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         result, code = _HANDLERS[args.command](engine, args)
     except (WordParseError, OutsideMonoidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,58 +2,75 @@
 
 Lengths come from breadth-first search over the Cayley graph of the simple
 reflections, so the same machinery serves every embedding (types A, B, D)
-with no per-type inversion formula.
+with no per-type inversion formula.  Coset queries are walks and bitmask
+tests (bit i for s_i) on integer-indexed tables: w is minimal in w * W_I
+iff no right descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .model import PartialInjection
 
 
+def _mask(I: Iterable[int]) -> int:
+    return sum(1 << i for i in set(I))
+
+
+@lru_cache(maxsize=None)
+def _indices(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _descents(step: dict[int, list[int]], length: list[int]) -> list[int]:
+    """Per element, the mask of generators whose step shortens it."""
+    desc = [0] * len(length)
+    for i, col in step.items():
+        desc = [d | (length[j] < l) << i for d, j, l in zip(desc, col, length)]
+    return desc
+
+
 class WeylGroup:
     """The group generated by the simple-reflection permutations.
 
-    Elements are total PartialInjection values; the table caches lengths
-    and descent sets for all of them.  Immutable after construction.
+    Elements are total PartialInjection values at the boundary and indices
+    0..|W|-1 inside (0 is the identity, then breadth-first order).
+    Immutable after construction.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int):
         self.degree = degree
         self._s = dict(sorted(gens.items()))
-        ident = PartialInjection.identity(degree)
-        elements: list[PartialInjection] = [ident]
-        index: dict[PartialInjection, int] = {ident: 0}
-        length: list[int] = [0]
-        queue = deque([ident])
-        while queue:
-            w = queue.popleft()
-            lw = length[index[w]]
-            for s in self._s.values():
-                v = s * w
-                if v not in index:
-                    index[v] = len(elements)
-                    elements.append(v)
-                    length.append(lw + 1)
-                    queue.append(v)
-        self.elements: tuple[PartialInjection, ...] = tuple(elements)
-        self._index = index
-        self._length = tuple(length)
-        left: list[frozenset[int]] = []
-        right: list[frozenset[int]] = []
-        for w in elements:
-            lw = self._length[index[w]]
-            left.append(
-                frozenset(i for i, s in self._s.items() if self._length[index[s * w]] < lw)
-            )
-            right.append(
-                frozenset(i for i, s in self._s.items() if self._length[index[w * s]] < lw)
-            )
-        self._left = tuple(left)
-        self._right = tuple(right)
-        self._parabolic_cache: dict[frozenset[int], frozenset[PartialInjection]] = {}
+        images = [tuple(range(1, degree + 1))]
+        index = {images[0]: 0}
+        length, support = [0], [0]
+        # s * w has image s(w(j)): pick entries of the padded image of s.
+        padded = {i: (0, *s.image) for i, s in self._s.items()}
+        left: dict[int, list[int]] = {i: [] for i in self._s}
+        for k, w in enumerate(images):
+            act = itemgetter(*w)
+            for i, s in padded.items():
+                v = act(s)
+                j = index.get(v)
+                if j is None:
+                    j = index[v] = len(images)
+                    images.append(v)
+                    length.append(length[k] + 1)
+                    support.append(support[k] | 1 << i)
+                left[i].append(j)
+        # w * s has image w(s(j)): pick the entries of w at positions s(j).
+        right: dict[int, list[int]] = {}
+        for i, s in self._s.items():
+            act = itemgetter(*(v - 1 for v in s.image))
+            right[i] = [index[act(w)] for w in images]
+        self.elements: tuple[PartialInjection, ...] = tuple(map(PartialInjection, images))
+        self._index, self._length, self._support = index, length, support
+        self._step = {"left": left, "right": right}
+        self._desc = {"left": _descents(left, length), "right": _descents(right, length)}
 
     @property
     def identity(self) -> PartialInjection:
@@ -76,22 +93,27 @@ class WeylGroup:
         return iter(self.elements)
 
     def __contains__(self, w: object) -> bool:
-        return w in self._index
+        return isinstance(w, PartialInjection) and w.image in self._index
 
     def _at(self, w: PartialInjection) -> int:
         try:
-            return self._index[w]
+            return self._index[w.image]
         except KeyError:
             raise ValueError(f"not an element of the unit group: {w!r}") from None
+
+    def _side(self, side: str) -> tuple[list[int], dict[int, list[int]]]:
+        if side not in self._desc:
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self._desc[side], self._step[side]
 
     def length(self, w: PartialInjection) -> int:
         return self._length[self._at(w)]
 
     def left_descents(self, w: PartialInjection) -> frozenset[int]:
-        return self._left[self._at(w)]
+        return _indices(self._desc["left"][self._at(w)])
 
     def right_descents(self, w: PartialInjection) -> frozenset[int]:
-        return self._right[self._at(w)]
+        return _indices(self._desc["right"][self._at(w)])
 
     def evaluate(self, word: Iterable[int]) -> PartialInjection:
         """Product of simple reflections, word read left to right."""
@@ -102,33 +124,25 @@ class WeylGroup:
 
     def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""
+        desc, step = self._desc["left"], self._step["left"]
+        k = self._at(w)
         word: list[int] = []
-        while True:
-            ds = self.left_descents(w)
-            if not ds:
-                return tuple(word)
-            i = min(ds)
+        while ds := desc[k]:
+            i = (ds & -ds).bit_length() - 1
             word.append(i)
-            w = self.s(i) * w
+            k = step[i][k]
+        return tuple(word)
 
     def min_coset_rep(
         self, w: PartialInjection, I: Iterable[int], side: str = "right"
     ) -> PartialInjection:
         """Minimal-length element of w * W_I (side "right") or W_I * w (side "left")."""
-        gens = frozenset(I)
-        if side == "right":
-            while True:
-                ds = self.right_descents(w) & gens
-                if not ds:
-                    return w
-                w = w * self.s(min(ds))
-        if side == "left":
-            while True:
-                ds = self.left_descents(w) & gens
-                if not ds:
-                    return w
-                w = self.s(min(ds)) * w
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        desc, step = self._side(side)
+        m = _mask(I)
+        k = self._at(w)
+        while ds := desc[k] & m:
+            k = step[(ds & -ds).bit_length() - 1][k]
+        return self.elements[k]
 
     def min_double_coset_rep(
         self, w: PartialInjection, J: Iterable[int], I: Iterable[int]
@@ -142,23 +156,16 @@ class WeylGroup:
             w = v
 
     def in_parabolic(self, w: PartialInjection, I: Iterable[int]) -> bool:
-        """Whether w lies in the standard parabolic subgroup generated by I."""
-        return self.min_coset_rep(w, I, "left") == self.identity
+        """Whether w lies in W_I: whether I holds the letters of a reduced word of w."""
+        return not self._support[self._at(w)] & ~_mask(I)
 
     def parabolic(self, I: Iterable[int]) -> frozenset[PartialInjection]:
         """All elements of the standard parabolic subgroup generated by I."""
-        key = frozenset(I)
-        cached = self._parabolic_cache.get(key)
-        if cached is None:
-            members = {self.identity}
-            queue = deque(members)
-            while queue:
-                w = queue.popleft()
-                for i in key:
-                    v = self.s(i) * w
-                    if v not in members:
-                        members.add(v)
-                        queue.append(v)
-            cached = frozenset(members)
-            self._parabolic_cache[key] = cached
-        return cached
+        outside = ~_mask(I)
+        return frozenset(compress(self.elements, [not m & outside for m in self._support]))
+
+    def coset_minima(self, I: Iterable[int], side: str = "right") -> frozenset:
+        """All w minimal in w * W_I or W_I * w (side "left"): no descent on that side in I."""
+        desc, _ = self._side(side)
+        m = _mask(I)
+        return frozenset(compress(self.elements, [not d & m for d in desc]))

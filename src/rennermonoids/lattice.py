@@ -71,7 +71,8 @@ class CrossSectionLattice:
 
     Order and meet come from model products (e <= f iff ef = fe = e); type
     maps are read off generator-by-generator; parabolic subgroups and coset
-    minima are materialized as explicit sets.  Immutable after construction.
+    minima are filtered from the Weyl group's support and descent bitmasks.
+    Immutable after construction.
     """
 
     def __init__(
@@ -131,8 +132,9 @@ class CrossSectionLattice:
             w_non = weyl.parabolic(tm.nonabsorbing)
             if len(w_full) != len(w_abs) * len(w_non):
                 raise RuntimeError(f"centralizer of {e.token} is not a direct product")
-            for p in w_abs:
-                for q in w_non:
+            ident = {weyl.identity}  # commutes with everything, so skipped
+            for p in w_abs - ident:
+                for q in w_non - ident:
                     if p * q != q * p:
                         raise RuntimeError(
                             f"parabolic factors of {e.token} do not commute elementwise"
@@ -145,23 +147,13 @@ class CrossSectionLattice:
         self._up: dict[str, UpMinima] = {}
         for e in self.elements:
             tm = self._types[e.token]
-            self._minima[e.token] = CosetMinima(
-                right=frozenset(
-                    w for w in weyl if weyl.min_coset_rep(w, tm.commuting, "right") == w
-                ),
-                left=frozenset(
-                    w for w in weyl if weyl.min_coset_rep(w, tm.commuting, "left") == w
-                ),
-                right_absorbing=frozenset(
-                    w for w in weyl if weyl.min_coset_rep(w, tm.absorbing, "right") == w
-                ),
-                left_absorbing=frozenset(
-                    w for w in weyl if weyl.min_coset_rep(w, tm.absorbing, "left") == w
-                ),
+            cm = self._minima[e.token] = CosetMinima(
+                right=weyl.coset_minima(tm.commuting, "right"),
+                left=weyl.coset_minima(tm.commuting, "left"),
+                right_absorbing=weyl.coset_minima(tm.absorbing, "right"),
+                left_absorbing=weyl.coset_minima(tm.absorbing, "left"),
             )
-        for e in self.elements:
             above = [f for f in self.elements if self.lt(e, f)]
-            cm = self._minima[e.token]
             keep = lambda w: all(w in self._centralizer[f.token] for f in above)
             self._up[e.token] = UpMinima(
                 left=frozenset(w for w in cm.left if keep(w)),

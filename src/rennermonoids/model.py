@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -43,6 +44,11 @@ class MonoidFamily:
     @property
     def degree(self) -> int:
         return self.rank if self.family == "A" else 2 * self.rank
+
+    @property
+    def weyl_order(self) -> int:
+        """Order of the unit group in closed form: n!, 2^n n! or 2^(n-1) n! at rank n."""
+        return factorial(n := self.rank) << {"A": 0, "B": n, "D": n - 1}[self.family]
 
     @property
     def coxeter_indices(self) -> range:

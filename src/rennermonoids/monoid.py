@@ -39,15 +39,27 @@ class OutsideMonoidError(ValueError):
     """Partial injection that has no expression inside the modeled monoid."""
 
 
+# Largest unit group built, checked before any table: D7 (322,560 elements)
+# builds in about 10 s and 390 MB; A8 and B6 pass, A9, B7 and D8 are refused.
+MAX_WEYL_ORDER = 350_000
+
+
 class RennerMonoid:
     """Engine for one family and rank: model, group, lattice, normal forms.
 
-    All tables are built eagerly at construction and never mutated, so a
-    single engine can be shared freely across threads.
+    Tables are built at construction and never changed, except two caches
+    filled on use: the normal-form memo (unbounded, one entry per element
+    decomposed) and the enumerated elements.  Each fill stores one finished
+    value, so threads may share an engine but may compute an entry twice.
     """
 
     def __init__(self, family: str, rank: int):
         self.fam = MonoidFamily(family, rank)
+        if self.fam.weyl_order > MAX_WEYL_ORDER:
+            raise EnumerationCapExceeded(
+                f"unit group of {family}{rank} has {self.fam.weyl_order} elements,"
+                f" limit {MAX_WEYL_ORDER}"
+            )
         self.generators = build_generators(self.fam)
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
@@ -55,12 +67,25 @@ class RennerMonoid:
         )
         self.lattice = CrossSectionLattice(self.fam, self.generators, self.weyl)
 
-        # Diagonal idempotent -> (lattice element, first conjugator in BFS order).
-        self._conjugation: dict[PartialInjection, tuple[LambdaElement, PartialInjection]] = {}
+        # Domain u(dom e) of each conjugate u * e * u^-1 of a lattice element,
+        # by a breadth-first walk of its orbit -> (e, w2, u * z_non): the part
+        # of normal_decompose that depends only on the domain.
+        self._conjugation: dict[tuple[int, ...], tuple] = {}
+        reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
-            for u in self.weyl.elements:
-                d = u * e.idem * u.inverse()
-                self._conjugation.setdefault(d, (e, u))
+            tm = self.lattice.type_map(e)
+            queue = [(e.idem.domain(), self.identity, self.identity)]
+            for dom, s, u in queue:
+                if dom in self._conjugation:
+                    continue
+                u = s * u
+                w2 = self.weyl.min_coset_rep(u.inverse(), tm.commuting, "left")
+                z = (w2 * u).inverse()
+                z_non = self.weyl.min_coset_rep(z, tm.absorbing, "right")
+                if not self.weyl.in_parabolic(z_non.inverse() * z, tm.absorbing):
+                    raise RuntimeError(f"direct-product split failed under {e.token}")
+                self._conjugation[dom] = (e, w2, u * z_non)
+                queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
 
         # Meet-under table: (e, w, f) with w minimal in its (e, f) double coset
         # maps to the idempotent h with e*w*f = h*w = h.
@@ -128,12 +153,12 @@ class RennerMonoid:
         """The unique canonical triple evaluating to x.
 
         Steps: write x = w * d with w a unit-group extension of x and d the
-        restriction idempotent of its domain; locate d as a conjugate
-        u * e * u^-1 of a lattice element of matching rank; then squeeze
-        w * u * e * u^-1 to the canonical triple by reducing the right
-        factor modulo the centralizer of e, sliding the nonabsorbing part
-        of the remainder to the left, and reducing the left factor modulo
-        the absorbing parabolic of e.
+        restriction idempotent of its domain; d is a conjugate u * e * u^-1
+        of a lattice element.  Squeezing w * u * e * u^-1 to the canonical
+        triple reduces the right factor modulo the centralizer of e and
+        slides the nonabsorbing part of the remainder to the left; both
+        depend only on the domain and are tabled at construction.  What is
+        left is reducing the left factor modulo the absorbing parabolic of e.
         """
         hit = self._nf_memo.get(x)
         if hit is not None:
@@ -141,8 +166,7 @@ class RennerMonoid:
         if x.degree != self.fam.degree:
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
         dom = x.domain()
-        d = PartialInjection.restriction(self.fam.degree, dom)
-        conj = self._conjugation.get(d)
+        conj = self._conjugation.get(dom)
         if conj is None:
             raise OutsideMonoidError(
                 f"domain {dom} matches no conjugate of a lattice idempotent"
@@ -156,16 +180,8 @@ class RennerMonoid:
             raise OutsideMonoidError(
                 f"no unit-group permutation extends {x!r}; element is outside the monoid"
             )
-        e, u = conj
-        tm = self.lattice.type_map(e)
-        b = u.inverse()
-        w2 = self.weyl.min_coset_rep(b, tm.commuting, "left")
-        z = b * w2.inverse()
-        z_non = self.weyl.min_coset_rep(z, tm.absorbing, "right")
-        z_abs = z_non.inverse() * z
-        if not self.weyl.in_parabolic(z_abs, tm.absorbing):
-            raise RuntimeError("direct-product split failed during decomposition")
-        w1 = self.weyl.min_coset_rep(ext * u * z_non, tm.absorbing, "right")
+        e, w2, uz = conj
+        w1 = self.weyl.min_coset_rep(ext * uz, self.lattice.type_map(e).absorbing, "right")
         nf = NormalForm(w1, e, w2)
         if self.value(nf) != x:
             raise RuntimeError("normal decomposition does not reproduce its input")

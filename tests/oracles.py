@@ -5,6 +5,7 @@ recomputes its answer from first principles so that it can legitimately
 check the corresponding engine path.
 """
 
+import functools
 import heapq
 import itertools
 from math import comb, factorial
@@ -38,13 +39,27 @@ def cheapest_word_costs(engine) -> dict:
     return dist
 
 
+@functools.lru_cache(maxsize=None)
+def _subgroup(weyl, gens):
+    """W_I by breadth-first closure of the products of its reflections."""
+    members = {weyl.identity}
+    queue = [weyl.identity]
+    for w in queue:
+        for i in gens:
+            v = weyl.s(i) * w
+            if v not in members:
+                members.add(v)
+                queue.append(v)
+    return frozenset(members)
+
+
 def brute_min_coset(weyl, w, gens, side):
     """Minimal element of w*W_I or W_I*w by enumerating the whole coset.
 
     Also asserts the minimum is unique, which is what makes the greedy
     reduction in the engine well defined.
     """
-    sub = weyl.parabolic(gens)
+    sub = _subgroup(weyl, frozenset(gens))
     coset = {w * h for h in sub} if side == "right" else {h * w for h in sub}
     lengths = sorted(weyl.length(v) for v in coset)
     assert lengths.count(lengths[0]) == 1, "coset minimum is not unique"
@@ -53,12 +68,26 @@ def brute_min_coset(weyl, w, gens, side):
 
 def brute_min_double_coset(weyl, w, left_gens, right_gens):
     """Minimal element of W_J*w*W_I by enumerating the double coset."""
-    J = weyl.parabolic(left_gens)
-    I = weyl.parabolic(right_gens)
+    J = _subgroup(weyl, frozenset(left_gens))
+    I = _subgroup(weyl, frozenset(right_gens))
     coset = {a * w * b for a in J for b in I}
     lengths = sorted(weyl.length(v) for v in coset)
     assert lengths.count(lengths[0]) == 1, "double-coset minimum is not unique"
     return min(coset, key=weyl.length)
+
+
+def brute_coset_minima(weyl, gens, side):
+    """The minima of all cosets w*W_I (or W_I*w), one coset at a time."""
+    sub = _subgroup(weyl, frozenset(gens))
+    seen, minima = set(), set()
+    for w in weyl:
+        if w not in seen:
+            coset = {w * h for h in sub} if side == "right" else {h * w for h in sub}
+            seen |= coset
+            lengths = sorted(weyl.length(v) for v in coset)
+            assert lengths.count(lengths[0]) == 1, "coset minimum is not unique"
+            minima.add(min(coset, key=weyl.length))
+    return frozenset(minima)
 
 
 def all_subsets(items):

@@ -149,3 +149,26 @@ def test_out_of_range_index_exit_code(capsys):
     code, out, err = run(capsys, "--family", "B", "--rank", "2", "len", "e9")
     assert code == 2
     assert "unknown generator e9" in err
+
+
+def test_oversized_rank_refused_before_any_build(capsys, monkeypatch):
+    import rennermonoids.coxeter as coxeter
+    import rennermonoids.monoid as monoid
+
+    def never(*args, **kwargs):
+        raise AssertionError("WeylGroup.__init__ entered")
+
+    monkeypatch.setattr(monoid, "MAX_WEYL_ORDER", 719)  # |W(A6)| = 720
+    monkeypatch.setattr(coxeter.WeylGroup, "__init__", never)
+    code, out, err = run(capsys, "--family", "A", "--rank", "6", "nf", "s1")
+    assert code == 3
+    assert out == ""
+    assert "720" in err
+
+
+def test_oversized_rank_orders_exceed_the_limit():
+    from rennermonoids import MonoidFamily
+    from rennermonoids.monoid import MAX_WEYL_ORDER
+
+    assert MonoidFamily("A", 12).weyl_order == 479001600
+    assert MonoidFamily("A", 12).weyl_order > MAX_WEYL_ORDER

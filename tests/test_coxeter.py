@@ -78,7 +78,18 @@ def test_min_coset_rep_examples(engine):
     assert weyl.min_coset_rep(w, set(), "right") == w
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
+@pytest.mark.parametrize("family,rank", SMALL + [("D", 4)])
+def test_descents_from_products(engine, family, rank):
+    weyl = engine(family, rank).weyl
+    for w in weyl:
+        lw = weyl.length(w)
+        left = {i for i in weyl.s_indices if weyl.length(weyl.s(i) * w) < lw}
+        right = {i for i in weyl.s_indices if weyl.length(w * weyl.s(i)) < lw}
+        assert weyl.left_descents(w) == left
+        assert weyl.right_descents(w) == right
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("D", 4)])
 def test_min_coset_rep_against_brute_force(engine, family, rank):
     weyl = engine(family, rank).weyl
     for gens in all_subsets(weyl.s_indices):

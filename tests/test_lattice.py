@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)]
+from oracles import brute_coset_minima
+
+SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
 
 def expected_type_map(family, rank, token):
@@ -171,6 +173,10 @@ def test_coset_minima_definition(engine, family, rank):
             assert (w in cm.left_absorbing) == (
                 not (weyl.left_descents(w) & tm.absorbing)
             )
+        assert cm.right == brute_coset_minima(weyl, tm.commuting, "right")
+        assert cm.left == brute_coset_minima(weyl, tm.commuting, "left")
+        assert cm.right_absorbing == brute_coset_minima(weyl, tm.absorbing, "right")
+        assert cm.left_absorbing == brute_coset_minima(weyl, tm.absorbing, "left")
 
 
 def test_up_minima_rook(engine):
