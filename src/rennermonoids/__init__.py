@@ -7,7 +7,7 @@ function counting reflection letters, and verified monoid presentations.
 """
 
 from .coxeter import WeylGroup
-from .lattice import CosetMinima, CrossSectionLattice, LambdaElement, TypeMap, UpMinima
+from .lattice import CrossSectionLattice, LambdaElement, TypeMap
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "CompletenessReport",
-    "CosetMinima",
     "CrossSectionLattice",
     "EnumerationCapExceeded",
     "GeneratorName",
@@ -54,7 +53,6 @@ __all__ = [
     "RelationReport",
     "RennerMonoid",
     "TypeMap",
-    "UpMinima",
     "WeylGroup",
     "braid_word",
     "build_generators",

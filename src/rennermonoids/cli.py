@@ -165,9 +165,9 @@ def _cmd_typemap(engine: RennerMonoid, args) -> tuple[dict, int]:
     pairs = []
     for e in lat.nonunit:
         for f in lat.nonunit:
-            ws = lat.up_minima(e).left & lat.up_minima(f).right
             words = sorted(
-                (weyl.reduced_word(w) for w in ws), key=lambda w: (len(w), w)
+                (weyl.reduced_word(w) for w in engine.reduced_join_domain(e, f)),
+                key=lambda w: (len(w), w),
             )
             pairs.append(
                 {

@@ -1,8 +1,10 @@
-"""Cross-section lattice of diagonal idempotents, type maps, and coset minima.
+"""Cross-section lattice of diagonal idempotents and their type maps.
 
 Everything here is computed from products in the matrix model.  The
 closed-form tables known for the three families are exercised as tests,
-never baked in, so a convention mistake in the model cannot hide.
+never baked in, so a convention mistake in the model cannot hide.  Sets of
+unit-group elements (parabolics, coset minima) are not stored: consumers
+filter them from the Weyl group's masks with the type maps kept here.
 """
 
 from __future__ import annotations
@@ -43,35 +45,14 @@ class TypeMap:
     nonabsorbing: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CosetMinima:
-    """Minimal-length coset representatives relative to one idempotent e.
-
-    right: minimal in w * W(e), i.e. no right descent among commuting(e);
-    left: minimal in W(e) * w;
-    right_absorbing / left_absorbing: the same modulo the absorbing parabolic.
-    """
-
-    right: frozenset[PartialInjection]
-    left: frozenset[PartialInjection]
-    right_absorbing: frozenset[PartialInjection]
-    left_absorbing: frozenset[PartialInjection]
-
-
-@dataclass(frozen=True)
-class UpMinima:
-    """Coset minima that additionally centralize every idempotent strictly above e."""
-
-    left: frozenset[PartialInjection]
-    right: frozenset[PartialInjection]
-
-
 class CrossSectionLattice:
-    """The finite lattice of named idempotents with all derived tables.
+    """The finite lattice of named idempotents: order, meet and type maps.
 
     Order and meet come from model products (e <= f iff ef = fe = e); type
-    maps are read off generator-by-generator; parabolic subgroups and coset
-    minima are filtered from the Weyl group's support and descent bitmasks.
+    maps are read off generator-by-generator, and the construction checks
+    that each centralizer parabolic is the direct product of its absorbing
+    and nonabsorbing parts.  Parabolics and coset minima are left to
+    `WeylGroup.parabolic` and `WeylGroup.coset_minima` on the type-map sets.
     Immutable after construction.
     """
 
@@ -114,9 +95,6 @@ class CrossSectionLattice:
                 self._meet[a.token, b.token] = m
 
         self._types: dict[str, TypeMap] = {}
-        self._centralizer: dict[str, frozenset[PartialInjection]] = {}
-        self._absorbing_subgroup: dict[str, frozenset[PartialInjection]] = {}
-        self._nonabsorbing_subgroup: dict[str, frozenset[PartialInjection]] = {}
         for e in self.elements:
             com, absd, non = set(), set(), set()
             for i in weyl.s_indices:
@@ -127,10 +105,9 @@ class CrossSectionLattice:
                     (absd if se == e.idem else non).add(i)
             tm = TypeMap(frozenset(com), frozenset(absd), frozenset(non))
             self._types[e.token] = tm
-            w_full = weyl.parabolic(tm.commuting)
             w_abs = weyl.parabolic(tm.absorbing)
             w_non = weyl.parabolic(tm.nonabsorbing)
-            if len(w_full) != len(w_abs) * len(w_non):
+            if len(weyl.parabolic(tm.commuting)) != len(w_abs) * len(w_non):
                 raise RuntimeError(f"centralizer of {e.token} is not a direct product")
             ident = {weyl.identity}  # commutes with everything, so skipped
             for p in w_abs - ident:
@@ -139,35 +116,12 @@ class CrossSectionLattice:
                         raise RuntimeError(
                             f"parabolic factors of {e.token} do not commute elementwise"
                         )
-            self._centralizer[e.token] = w_full
-            self._absorbing_subgroup[e.token] = w_abs
-            self._nonabsorbing_subgroup[e.token] = w_non
-
-        self._minima: dict[str, CosetMinima] = {}
-        self._up: dict[str, UpMinima] = {}
-        for e in self.elements:
-            tm = self._types[e.token]
-            cm = self._minima[e.token] = CosetMinima(
-                right=weyl.coset_minima(tm.commuting, "right"),
-                left=weyl.coset_minima(tm.commuting, "left"),
-                right_absorbing=weyl.coset_minima(tm.absorbing, "right"),
-                left_absorbing=weyl.coset_minima(tm.absorbing, "left"),
-            )
-            above = [f for f in self.elements if self.lt(e, f)]
-            keep = lambda w: all(w in self._centralizer[f.token] for f in above)
-            self._up[e.token] = UpMinima(
-                left=frozenset(w for w in cm.left if keep(w)),
-                right=frozenset(w for w in cm.right if keep(w)),
-            )
 
     def by_token(self, token: str) -> LambdaElement:
         try:
             return self._by_token[token]
         except KeyError:
             raise ValueError(f"no lattice element named {token!r}") from None
-
-    def find_idem(self, x: PartialInjection) -> LambdaElement | None:
-        return self._by_idem.get(x)
 
     def by_idem(self, x: PartialInjection) -> LambdaElement:
         e = self._by_idem.get(x)
@@ -189,18 +143,3 @@ class CrossSectionLattice:
 
     def type_map(self, e: LambdaElement) -> TypeMap:
         return self._types[e.token]
-
-    def centralizer(self, e: LambdaElement) -> frozenset[PartialInjection]:
-        return self._centralizer[e.token]
-
-    def absorbing_subgroup(self, e: LambdaElement) -> frozenset[PartialInjection]:
-        return self._absorbing_subgroup[e.token]
-
-    def nonabsorbing_subgroup(self, e: LambdaElement) -> frozenset[PartialInjection]:
-        return self._nonabsorbing_subgroup[e.token]
-
-    def coset_minima(self, e: LambdaElement) -> CosetMinima:
-        return self._minima[e.token]
-
-    def up_minima(self, e: LambdaElement) -> UpMinima:
-        return self._up[e.token]

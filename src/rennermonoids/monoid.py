@@ -87,32 +87,34 @@ class RennerMonoid:
                 self._conjugation[dom] = (e, w2, u * z_non)
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
 
-        # Meet-under table: (e, w, f) with w minimal in its (e, f) double coset
-        # maps to the idempotent h with e*w*f = h*w = h.
-        self._meet_domain: dict[tuple[str, str], frozenset[PartialInjection]] = {}
-        self._meet_under: dict[tuple[str, PartialInjection, str], LambdaElement] = {}
-        for e in self.lattice.elements:
-            ge = self.lattice.coset_minima(e).left
-            for f in self.lattice.elements:
-                dom = ge & self.lattice.coset_minima(f).right
-                self._meet_domain[e.token, f.token] = dom
-                for w in dom:
-                    prod = e.idem * w * f.idem
-                    h = self.lattice.by_idem(prod)
+        # Meet-under table: (e, f) -> {w: h} over the w minimal in their
+        # (e, f) double coset, h the idempotent with e*w*f = h*w = h.
+        lat, weyl = self.lattice, self.weyl
+        self._meet_under: dict[tuple[str, str], dict[PartialInjection, LambdaElement]] = {}
+        rights = {
+            f.token: weyl.coset_minima(lat.type_map(f).commuting, "right")
+            for f in lat.elements
+        }
+        for e in lat.elements:
+            left = weyl.coset_minima(lat.type_map(e).commuting, "left")
+            for f in lat.elements:
+                table = self._meet_under[e.token, f.token] = {}
+                for w in left & rights[f.token]:
+                    h = lat.by_idem(e.idem * w * f.idem)
                     if h.idem * w != h.idem:
                         raise RuntimeError(
                             f"{e.token}*w*{f.token} does not absorb its middle factor"
                         )
-                    if w not in self.lattice.absorbing_subgroup(h):
+                    if not weyl.in_parabolic(w, lat.type_map(h).absorbing):
                         raise RuntimeError(
                             f"middle factor of {e.token}*w*{f.token} escapes the"
                             f" absorbing subgroup of {h.token}"
                         )
-                    if not self.lattice.leq(h, self.lattice.meet(e, f)):
+                    if not lat.leq(h, lat.meet(e, f)):
                         raise RuntimeError(
                             f"{e.token}*w*{f.token} is not below the plain meet"
                         )
-                    self._meet_under[e.token, w, f.token] = h
+                    table[w] = h
 
         self._nf_memo: dict[PartialInjection, NormalForm] = {}
         self._elements: tuple[PartialInjection, ...] | None = None
@@ -207,14 +209,29 @@ class RennerMonoid:
 
     def meet_under_domain(self, e: LambdaElement, f: LambdaElement) -> frozenset[PartialInjection]:
         """All w minimal in their double coset for the pair (e, f)."""
-        return self._meet_domain[e.token, f.token]
+        return frozenset(self._meet_under[e.token, f.token])
+
+    def reduced_join_domain(
+        self, e: LambdaElement, f: LambdaElement
+    ) -> frozenset[PartialInjection]:
+        """The w of meet_under_domain(e, f) that centralize every idempotent
+        strictly above e or f: those in the parabolic of the reflections
+        commuting with all of them."""
+        lat = self.lattice
+        up = set(self.weyl.s_indices)
+        for g in lat.elements:
+            if lat.lt(e, g) or lat.lt(f, g):
+                up &= lat.type_map(g).commuting
+        return frozenset(
+            w for w in self._meet_under[e.token, f.token] if self.weyl.in_parabolic(w, up)
+        )
 
     def meet_under(
         self, e: LambdaElement, w: PartialInjection, f: LambdaElement
     ) -> LambdaElement:
         """The lattice element equal to e * w * f, for double-coset-minimal w."""
         try:
-            return self._meet_under[e.token, w, f.token]
+            return self._meet_under[e.token, f.token][w]
         except KeyError:
             raise ValueError(
                 f"w not double-coset minimal for ({e.token}, {f.token}): {w!r}"

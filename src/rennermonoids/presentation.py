@@ -120,10 +120,6 @@ def coxeter_pairs(fam: MonoidFamily) -> list[tuple[int, int, int]]:
     return out
 
 
-def _alphabet(engine: RennerMonoid) -> tuple[GeneratorName, ...]:
-    return engine.alphabet
-
-
 def _sort_key(engine: RennerMonoid, rel: Relation):
     lat = engine.lattice
     tag_rank = ["COX1", "COX2", "TYM1", "TYM2", "TYM3"].index(rel.tag)
@@ -177,46 +173,34 @@ def _type_relations(engine: RennerMonoid) -> list[Relation]:
     return rels
 
 
-def _join_relations(engine: RennerMonoid, up_only: bool) -> list[Relation]:
-    lat = engine.lattice
-    rels = []
-    for e in lat.nonunit:
-        for f in lat.nonunit:
-            if up_only:
-                ws = lat.up_minima(e).left & lat.up_minima(f).right
-            else:
-                ws = engine.meet_under_domain(e, f)
-            for w in ws:
+def _generate(engine: RennerMonoid, flavor: str) -> Presentation:
+    """Coxeter and type relations, plus one join relation e w f = h per w
+    in the join domain of each pair of nonunit idempotents."""
+    domain = engine.reduced_join_domain if flavor == "reduced" else engine.meet_under_domain
+    rels = _coxeter_relations(engine) + _type_relations(engine)
+    for e in engine.lattice.nonunit:
+        for f in engine.lattice.nonunit:
+            for w in domain(e, f):
                 h = engine.meet_under(e, w, f)
                 mid = tuple(GeneratorName.s(i) for i in engine.weyl.reduced_word(w))
                 rels.append(Relation((e.name, *mid, f.name), (h.name,), "TYM3"))
-    return rels
+    return Presentation(
+        engine.fam.family,
+        engine.fam.rank,
+        engine.alphabet,
+        _sorted_relations(engine, rels),
+        flavor,
+    )
 
 
 def generate_full(engine: RennerMonoid) -> Presentation:
     """Relations with the join family over every double-coset-minimal w."""
-    rels = _coxeter_relations(engine) + _type_relations(engine)
-    rels += _join_relations(engine, up_only=False)
-    return Presentation(
-        engine.fam.family,
-        engine.fam.rank,
-        _alphabet(engine),
-        _sorted_relations(engine, rels),
-        "full",
-    )
+    return _generate(engine, "full")
 
 
 def generate_reduced(engine: RennerMonoid) -> Presentation:
     """Same as full, with the join family restricted to upward coset minima."""
-    rels = _coxeter_relations(engine) + _type_relations(engine)
-    rels += _join_relations(engine, up_only=True)
-    return Presentation(
-        engine.fam.family,
-        engine.fam.rank,
-        _alphabet(engine),
-        _sorted_relations(engine, rels),
-        "reduced",
-    )
+    return _generate(engine, "reduced")
 
 
 def _explicit_shared(fam: MonoidFamily, top: int) -> list[Relation]:
@@ -281,7 +265,7 @@ def generate_explicit(engine: RennerMonoid) -> Presentation:
             Relation((F, S(l - 1), S(l - 2), S(l), E(l)), (E(l - 3),), "TYM3")
         )
     return Presentation(
-        fam.family, fam.rank, _alphabet(engine), _sorted_relations(engine, rels), "explicit"
+        fam.family, fam.rank, engine.alphabet, _sorted_relations(engine, rels), "explicit"
     )
 
 
@@ -303,19 +287,19 @@ def verify_completeness(
     the monoid.
     """
     elements = engine.elements(cap)
-    lat = engine.lattice
-    values: dict[PartialInjection, int] = {}
+    weyl = engine.weyl
+    values: set[PartialInjection] = set()
     total = 0
     breakdown = []
-    for e in lat.elements:
-        cm = lat.coset_minima(e)
-        breakdown.append((e.token, len(cm.right_absorbing), len(cm.left)))
-        for w1 in cm.right_absorbing:
+    for e in engine.lattice.elements:
+        tm = engine.lattice.type_map(e)
+        w1s = weyl.coset_minima(tm.absorbing, "right")
+        w2s = weyl.coset_minima(tm.commuting, "left")
+        breakdown.append((e.token, len(w1s), len(w2s)))
+        total += len(w1s) * len(w2s)
+        for w1 in w1s:
             prefix = w1 * e.idem
-            for w2 in cm.left:
-                total += 1
-                v = prefix * w2
-                values[v] = values.get(v, 0) + 1
+            values.update(prefix * w2 for w2 in w2s)
     missing = sum(1 for x in elements if x not in values)
     return CompletenessReport(
         engine.fam.family,

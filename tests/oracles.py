@@ -90,6 +90,28 @@ def brute_coset_minima(weyl, gens, side):
     return frozenset(minima)
 
 
+def brute_up_minima(engine, e):
+    """Left and right coset minima for the reflections commuting with e,
+    kept if they also centralize every idempotent f strictly above e.
+
+    f is above e when e*f = f*e = e; the centralizer of f is W_I for the
+    reflections s with s*f = f*s, closed by breadth-first search.
+    """
+    weyl = engine.weyl
+    reflections = [(i, weyl.s(i)) for i in weyl.s_indices]
+    commuting = lambda x: frozenset(i for i, s in reflections if s * x == x * s)
+    above = [
+        _subgroup(weyl, commuting(f.idem))
+        for f in engine.lattice.elements
+        if f.idem != e.idem and e.idem * f.idem == f.idem * e.idem == e.idem
+    ]
+    keep = lambda w: all(w in sub for sub in above)
+    gens = commuting(e.idem)
+    left = brute_coset_minima(weyl, gens, "left")
+    right = brute_coset_minima(weyl, gens, "right")
+    return frozenset(filter(keep, left)), frozenset(filter(keep, right))
+
+
 def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import brute_coset_minima
+from oracles import brute_coset_minima, brute_up_minima
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -118,11 +118,12 @@ def test_type_map_partition_and_semantics(engine, family, rank):
 @pytest.mark.parametrize("family,rank", SMALL)
 def test_centralizer_is_direct_product(engine, family, rank):
     eng = engine(family, rank)
-    lat = eng.lattice
+    lat, weyl = eng.lattice, eng.weyl
     for e in lat.elements:
-        full = lat.centralizer(e)
-        ab = lat.absorbing_subgroup(e)
-        non = lat.nonabsorbing_subgroup(e)
+        tm = lat.type_map(e)
+        full = weyl.parabolic(tm.commuting)
+        ab = weyl.parabolic(tm.absorbing)
+        non = weyl.parabolic(tm.nonabsorbing)
         assert len(full) == len(ab) * len(non)
         assert {p * q for p in ab for q in non} == full
         for p in ab:
@@ -131,16 +132,18 @@ def test_centralizer_is_direct_product(engine, family, rank):
 
 
 def test_parabolic_examples(engine):
-    lat2 = engine("A", 2).lattice
-    assert lat2.centralizer(lat2.by_token("e1")) == frozenset({engine("A", 2).weyl.identity})
+    eng2 = engine("A", 2)
+    tm = eng2.lattice.type_map(eng2.lattice.by_token("e1"))
+    assert eng2.weyl.parabolic(tm.commuting) == frozenset({eng2.weyl.identity})
     eng3 = engine("A", 3)
-    lat3 = eng3.lattice
-    e1 = lat3.by_token("e1")
-    expected = frozenset({eng3.weyl.identity, eng3.weyl.s(2)})
-    assert lat3.centralizer(e1) == expected
-    assert lat3.absorbing_subgroup(e1) == expected
-    assert lat3.centralizer(lat3.unit) == frozenset(eng3.weyl.elements)
-    assert lat3.absorbing_subgroup(lat3.unit) == frozenset({eng3.weyl.identity})
+    lat3, weyl3 = eng3.lattice, eng3.weyl
+    tm1 = lat3.type_map(lat3.by_token("e1"))
+    tm_unit = lat3.type_map(lat3.unit)
+    expected = frozenset({weyl3.identity, weyl3.s(2)})
+    assert weyl3.parabolic(tm1.commuting) == expected
+    assert weyl3.parabolic(tm1.absorbing) == expected
+    assert weyl3.parabolic(tm_unit.commuting) == frozenset(weyl3.elements)
+    assert weyl3.parabolic(tm_unit.absorbing) == frozenset({weyl3.identity})
 
 
 def test_coset_minima_examples(engine):
@@ -148,13 +151,13 @@ def test_coset_minima_examples(engine):
     lat, weyl = eng.lattice, eng.weyl
     all_w = frozenset(weyl.elements)
     one = frozenset({weyl.identity})
-    unit, e1, e0 = lat.unit, lat.by_token("e1"), lat.zero
-    assert lat.coset_minima(unit).left == one
-    assert lat.coset_minima(unit).right_absorbing == all_w
-    assert lat.coset_minima(e1).right_absorbing == all_w
-    assert lat.coset_minima(e1).left == all_w
-    assert lat.coset_minima(e0).right_absorbing == one
-    assert lat.coset_minima(e0).left == one
+    unit, e1, e0 = (lat.type_map(e) for e in (lat.unit, lat.by_token("e1"), lat.zero))
+    assert weyl.coset_minima(unit.commuting, "left") == one
+    assert weyl.coset_minima(unit.absorbing, "right") == all_w
+    assert weyl.coset_minima(e1.absorbing, "right") == all_w
+    assert weyl.coset_minima(e1.commuting, "left") == all_w
+    assert weyl.coset_minima(e0.absorbing, "right") == one
+    assert weyl.coset_minima(e0.commuting, "left") == one
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -163,20 +166,32 @@ def test_coset_minima_definition(engine, family, rank):
     lat, weyl = eng.lattice, eng.weyl
     for e in lat.elements:
         tm = lat.type_map(e)
-        cm = lat.coset_minima(e)
+        right = weyl.coset_minima(tm.commuting, "right")
+        left = weyl.coset_minima(tm.commuting, "left")
+        right_absorbing = weyl.coset_minima(tm.absorbing, "right")
+        left_absorbing = weyl.coset_minima(tm.absorbing, "left")
         for w in weyl:
-            assert (w in cm.right) == (not (weyl.right_descents(w) & tm.commuting))
-            assert (w in cm.left) == (not (weyl.left_descents(w) & tm.commuting))
-            assert (w in cm.right_absorbing) == (
+            assert (w in right) == (not (weyl.right_descents(w) & tm.commuting))
+            assert (w in left) == (not (weyl.left_descents(w) & tm.commuting))
+            assert (w in right_absorbing) == (
                 not (weyl.right_descents(w) & tm.absorbing)
             )
-            assert (w in cm.left_absorbing) == (
+            assert (w in left_absorbing) == (
                 not (weyl.left_descents(w) & tm.absorbing)
             )
-        assert cm.right == brute_coset_minima(weyl, tm.commuting, "right")
-        assert cm.left == brute_coset_minima(weyl, tm.commuting, "left")
-        assert cm.right_absorbing == brute_coset_minima(weyl, tm.absorbing, "right")
-        assert cm.left_absorbing == brute_coset_minima(weyl, tm.absorbing, "left")
+        assert right == brute_coset_minima(weyl, tm.commuting, "right")
+        assert left == brute_coset_minima(weyl, tm.commuting, "left")
+        assert right_absorbing == brute_coset_minima(weyl, tm.absorbing, "right")
+        assert left_absorbing == brute_coset_minima(weyl, tm.absorbing, "left")
+
+
+@pytest.mark.parametrize("family,rank", SMALL + [("B", 4)])
+def test_reduced_join_domain_matches_up_minima_oracle(engine, family, rank):
+    eng = engine(family, rank)
+    up = {e.token: brute_up_minima(eng, e) for e in eng.lattice.nonunit}
+    for e, f in itertools.product(eng.lattice.nonunit, repeat=2):
+        want = up[e.token][0] & up[f.token][1]
+        assert eng.reduced_join_domain(e, f) == want, (e.token, f.token)
 
 
 def test_up_minima_rook(engine):
@@ -184,13 +199,11 @@ def test_up_minima_rook(engine):
     lat, weyl = eng.lattice, eng.weyl
     for i in (1, 2):
         e = lat.by_token(f"e{i}")
-        both = lat.up_minima(e).left & lat.up_minima(e).right
+        both = eng.reduced_join_domain(e, e)
         assert both == frozenset({weyl.identity, weyl.s(i)})
     for i, j in itertools.permutations((0, 1, 2), 2):
         ei, ej = lat.by_token(f"e{i}"), lat.by_token(f"e{j}")
-        assert lat.up_minima(ei).left & lat.up_minima(ej).right == frozenset(
-            {weyl.identity}
-        )
+        assert eng.reduced_join_domain(ei, ej) == frozenset({weyl.identity})
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -201,7 +214,7 @@ def test_up_minima_symplectic(engine, rank):
     eng = engine("B", rank)
     lat, weyl = eng.lattice, eng.weyl
     top = lat.by_token(f"e{rank}")
-    both = lat.up_minima(top).left & lat.up_minima(top).right
+    both = eng.reduced_join_domain(top, top)
     expected = {weyl.identity, weyl.s(rank), weyl.evaluate([rank, rank - 1, rank])}
     if rank == 3:
         expected.add(weyl.evaluate([3, 2, 1, 3, 2, 3]))
@@ -211,16 +224,14 @@ def test_up_minima_symplectic(engine, rank):
     ]
     for i in range(1, rank):
         e = lat.by_token(f"e{i}")
-        assert lat.up_minima(e).left & lat.up_minima(e).right == frozenset(
-            {weyl.identity, weyl.s(i)}
-        )
+        assert eng.reduced_join_domain(e, e) == frozenset({weyl.identity, weyl.s(i)})
 
 
 def test_up_minima_even_orthogonal(engine):
     eng = engine("D", 3)
     lat, weyl = eng.lattice, eng.weyl
     e1, e2, e3, f3 = (lat.by_token(t) for t in ("e1", "e2", "e3", "f3"))
-    inter = lambda a, b: lat.up_minima(a).left & lat.up_minima(b).right
+    inter = eng.reduced_join_domain
     assert inter(e1, e1) == frozenset({weyl.identity, weyl.s(1)})
     assert inter(e2, e2) == frozenset({weyl.identity})
     assert inter(e3, e3) == frozenset({weyl.identity, weyl.s(3)})
@@ -231,11 +242,11 @@ def test_up_minima_even_orthogonal(engine):
 
 @pytest.mark.parametrize("family,rank", SMALL)
 def test_up_intersection_trivial_for_comparable_distinct(engine, family, rank):
-    lat = engine(family, rank).lattice
-    weyl = engine(family, rank).weyl
+    eng = engine(family, rank)
+    lat, weyl = eng.lattice, eng.weyl
     for e, f in itertools.permutations(lat.nonunit, 2):
         if lat.lt(e, f) or lat.lt(f, e):
-            got = lat.up_minima(e).left & lat.up_minima(f).right
+            got = eng.reduced_join_domain(e, f)
             assert got == frozenset({weyl.identity}), (e.token, f.token)
 
 
@@ -243,15 +254,17 @@ def test_up_intersection_trivial_for_comparable_distinct(engine, family, rank):
 def test_subgroup_membership_of_low_coset_minima(engine, family, rank):
     # for h <= e, any centralizer element of h that is left- or right-reduced
     # for e must already lie in the absorbing subgroup of h
-    lat = engine(family, rank).lattice
+    eng = engine(family, rank)
+    lat, weyl = eng.lattice, eng.weyl
     for h in lat.elements:
+        wh = weyl.parabolic(lat.type_map(h).commuting)
+        absorbing = weyl.parabolic(lat.type_map(h).absorbing)
         for e in lat.elements:
             if not lat.leq(h, e):
                 continue
-            wh = lat.centralizer(h)
-            cm = lat.coset_minima(e)
-            assert wh & cm.left <= lat.absorbing_subgroup(h)
-            assert wh & cm.right <= lat.absorbing_subgroup(h)
+            com = lat.type_map(e).commuting
+            assert wh & weyl.coset_minima(com, "left") <= absorbing
+            assert wh & weyl.coset_minima(com, "right") <= absorbing
 
 
 @pytest.mark.parametrize("family,rank", SMALL)

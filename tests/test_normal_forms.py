@@ -13,11 +13,11 @@ ORACLE_RANKS = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 
 
 def all_normal_forms(eng):
-    """Admissible triples enumerated straight from the coset tables."""
+    """Admissible triples enumerated straight from the coset minima."""
     for e in eng.lattice.elements:
-        cm = eng.lattice.coset_minima(e)
-        for w1 in cm.right_absorbing:
-            for w2 in cm.left:
+        tm = eng.lattice.type_map(e)
+        for w1 in eng.weyl.coset_minima(tm.absorbing, "right"):
+            for w2 in eng.weyl.coset_minima(tm.commuting, "left"):
                 yield NormalForm(w1, e, w2)
 
 
@@ -69,9 +69,9 @@ def test_membership_invariants_of_decomposition(engine, family, rank):
     eng = engine(family, rank)
     for x in eng.elements():
         nf = eng.normal_decompose(x)
-        cm = eng.lattice.coset_minima(nf.e)
-        assert nf.w1 in cm.right_absorbing
-        assert nf.w2 in cm.left
+        tm = eng.lattice.type_map(nf.e)
+        assert nf.w1 in eng.weyl.coset_minima(tm.absorbing, "right")
+        assert nf.w2 in eng.weyl.coset_minima(tm.commuting, "left")
         assert eng.value(nf) == x
 
 
@@ -163,7 +163,7 @@ def test_meet_under_contract(engine, family, rank):
                 assert prod.is_idempotent()
                 assert prod == h.idem
                 assert h.idem * w == h.idem == w * h.idem
-                assert w in lat.absorbing_subgroup(h)
+                assert w in eng.weyl.parabolic(lat.type_map(h).absorbing)
                 assert lat.leq(h, lat.meet(e, f))
 
 
@@ -188,12 +188,13 @@ def test_left_mult_dichotomy_agrees_with_multiply(engine, family, rank):
     for x in eng.elements():
         nf = eng.normal_decompose(x)
         absorbing = eng.lattice.type_map(nf.e).absorbing
+        right_absorbing = eng.weyl.coset_minima(absorbing, "right")
         for i in eng.weyl.s_indices:
             fast = eng.left_mult_generator(i, nf)
             slow = eng.normal_decompose(eng.weyl.s(i) * x)
             assert fast == slow
             # exactly one side of the dichotomy fires
-            stays = eng.weyl.s(i) * nf.w1 in eng.lattice.coset_minima(nf.e).right_absorbing
+            stays = eng.weyl.s(i) * nf.w1 in right_absorbing
             absorbed = any(
                 eng.weyl.s(i) * nf.w1 == nf.w1 * eng.weyl.s(t) for t in absorbing
             )
@@ -262,6 +263,9 @@ def test_idempotent_multiplication_never_raises_length(engine, family, rank):
 def test_length_preserved_iff_meet_replaces_idempotent(engine, family, rank):
     eng = engine(family, rank)
     lat = eng.lattice
+    nonabsorbing = {
+        e.token: eng.weyl.parabolic(lat.type_map(e).nonabsorbing) for e in lat.nonunit
+    }
     for x in eng.elements():
         nf = eng.normal_decompose(x)
         lx = eng.length(nf)
@@ -271,4 +275,4 @@ def test_length_preserved_iff_meet_replaces_idempotent(engine, family, rank):
             replaced = nfe == NormalForm(nf.w1, lat.meet(e, nf.e), nf.w2)
             assert preserved == replaced
             if preserved:
-                assert nf.w2 in lat.nonabsorbing_subgroup(e)
+                assert nf.w2 in nonabsorbing[e.token]
