@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 enumeration cap exceeded or unit group too large to build.  All
 diagnostics go to stderr; with --json the payload on stdout is a single
-object with family, rank, command, result.
+compact JSON object with family, rank, command, result.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "command": args.command,
             "result": result,
         }
-        print(json.dumps(payload, indent=2), file=sys.stdout)
+        print(json.dumps(payload, separators=(",", ":")), file=sys.stdout)
     else:
         _print_text(args.command, result, sys.stdout)
     return code

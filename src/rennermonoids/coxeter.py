@@ -14,7 +14,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .model import PartialInjection
+from .model import PartialInjection, _unchecked
 
 
 def _mask(I: Iterable[int]) -> int:
@@ -67,7 +67,7 @@ class WeylGroup:
         for i, s in self._s.items():
             act = itemgetter(*(v - 1 for v in s.image))
             right[i] = [index[act(w)] for w in images]
-        self.elements: tuple[PartialInjection, ...] = tuple(map(PartialInjection, images))
+        self.elements: tuple[PartialInjection, ...] = tuple(map(_unchecked, images))
         self._index, self._length, self._support = index, length, support
         self._step = {"left": left, "right": right}
         self._desc = {"left": _descents(left, length), "right": _descents(right, length)}
@@ -164,8 +164,20 @@ class WeylGroup:
         outside = ~_mask(I)
         return frozenset(compress(self.elements, [not m & outside for m in self._support]))
 
-    def coset_minima(self, I: Iterable[int], side: str = "right") -> frozenset:
-        """All w minimal in w * W_I or W_I * w (side "left"): no descent on that side in I."""
+    def parabolic_order(self, I: Iterable[int]) -> int:
+        """|W_I|, counted from the support masks without building the subgroup."""
+        outside = ~_mask(I)
+        return [m & outside for m in self._support].count(0)
+
+    def iter_coset_minima(
+        self, I: Iterable[int], side: str = "right"
+    ) -> Iterator[PartialInjection]:
+        """The w minimal in w * W_I or W_I * w (side "left"), in index order:
+        those with no descent on that side in I."""
         desc, _ = self._side(side)
         m = _mask(I)
-        return frozenset(compress(self.elements, [not d & m for d in desc]))
+        return compress(self.elements, [not d & m for d in desc])
+
+    def coset_minima(self, I: Iterable[int], side: str = "right") -> frozenset:
+        """All w minimal in w * W_I or W_I * w (side "left"), as a set."""
+        return frozenset(self.iter_coset_minima(I, side))

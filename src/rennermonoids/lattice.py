@@ -107,7 +107,7 @@ class CrossSectionLattice:
             self._types[e.token] = tm
             w_abs = weyl.parabolic(tm.absorbing)
             w_non = weyl.parabolic(tm.nonabsorbing)
-            if len(weyl.parabolic(tm.commuting)) != len(w_abs) * len(w_non):
+            if weyl.parabolic_order(tm.commuting) != len(w_abs) * len(w_non):
                 raise RuntimeError(f"centralizer of {e.token} is not a direct product")
             ident = {weyl.identity}  # commutes with everything, so skipped
             for p in w_abs - ident:

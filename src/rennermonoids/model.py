@@ -81,11 +81,13 @@ class GeneratorName:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialInjection:
     """Injective partial self-map of {1, ..., n}.
 
-    ``image[j - 1]`` holds the image of j, or None where undefined.
+    ``image[j - 1]`` holds the image of j, or None where undefined.  Public
+    construction checks injectivity; products and inverses, which are
+    injective whenever their operands are, go through `_unchecked`.
     """
 
     image: tuple[int | None, ...]
@@ -113,11 +115,10 @@ class PartialInjection:
         """Matrix product: apply ``other`` first, then ``self``."""
         if not isinstance(other, PartialInjection):
             return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        return PartialInjection(
-            tuple(None if v is None else self.image[v - 1] for v in other.image)
-        )
+        img, right = self.image, other.image
+        if len(img) != len(right):
+            raise ValueError(f"degree mismatch: {len(img)} != {len(right)}")
+        return _unchecked(tuple([None if v is None else img[v - 1] for v in right]))
 
     def inverse(self) -> "PartialInjection":
         """Reverse all arrows; the unique semigroup inverse."""
@@ -125,7 +126,7 @@ class PartialInjection:
         for j, v in enumerate(self.image, start=1):
             if v is not None:
                 img[v - 1] = j
-        return PartialInjection(tuple(img))
+        return _unchecked(tuple(img))
 
     @property
     def rank(self) -> int:
@@ -171,6 +172,17 @@ class PartialInjection:
             f"{j}: {v}" for j, v in enumerate(self.image, start=1) if v is not None
         )
         return f"PartialInjection({{{body}}}, degree={self.degree})"
+
+
+def _unchecked(
+    image: tuple[int | None, ...],
+    _new=object.__new__,
+    _set=PartialInjection.image.__set__,
+) -> PartialInjection:
+    """A PartialInjection from an image known to be injective and in range."""
+    p = _new(PartialInjection)
+    _set(p, image)
+    return p
 
 
 def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]:

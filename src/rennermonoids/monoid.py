@@ -11,6 +11,7 @@ len(w1) + len(w2) in the Coxeter sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .coxeter import WeylGroup
@@ -26,7 +27,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """The canonical triple; equality of normal forms is equality of elements."""
 
@@ -39,18 +40,20 @@ class OutsideMonoidError(ValueError):
     """Partial injection that has no expression inside the modeled monoid."""
 
 
-# Largest unit group built, checked before any table: D7 (322,560 elements)
-# builds in about 10 s and 390 MB; A8 and B6 pass, A9, B7 and D8 are refused.
+# Largest unit group built, checked before any table: D7 (322,560 elements,
+# 1.06 million left-factor entries) builds in about 7.5 s and 250 MB on one
+# core of a 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 
 
 class RennerMonoid:
     """Engine for one family and rank: model, group, lattice, normal forms.
 
-    Tables are built at construction and never changed, except two caches
-    filled on use: the normal-form memo (unbounded, one entry per element
-    decomposed) and the enumerated elements.  Each fill stores one finished
-    value, so threads may share an engine but may compute an entry twice.
+    Tables are built at construction and never changed: the left-factor
+    table of each lattice element, the conjugation table of domains and the
+    meet-under table.  Normal forms are looked up, not memoised.  The one
+    cache filled on use is the enumerated element list, stored in a single
+    assignment, so threads may share an engine but may enumerate it twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -67,9 +70,26 @@ class RennerMonoid:
         )
         self.lattice = CrossSectionLattice(self.fam, self.generators, self.weyl)
 
+        # Left-factor table of each nonunit lattice element e: the values of
+        # w1 on dom(e) in increasing order, as bytes -> w1, over the w1
+        # right-minimal modulo the absorbing parabolic of e.  Two units agree
+        # on dom(e) exactly when they differ by an element of that parabolic,
+        # so no key repeats.
+        left_factor: dict[str, dict[bytes, PartialInjection]] = {}
+        for e in self.lattice.nonunit:
+            minima = list(self.weyl.iter_coset_minima(self.lattice.type_map(e).absorbing))
+            table = left_factor[e.token] = {
+                bytes(compress(w.image, e.idem.image)): w for w in minima
+            }
+            if len(table) != len(minima):
+                raise RuntimeError(f"two left factors under {e.token} agree on its domain")
+
         # Domain u(dom e) of each conjugate u * e * u^-1 of a lattice element,
-        # by a breadth-first walk of its orbit -> (e, w2, u * z_non): the part
-        # of normal_decompose that depends only on the domain.
+        # by a breadth-first walk of its orbit -> (e, w2, e's left-factor
+        # table, None for the unit).  w2^-1 carries dom(e) onto the domain in
+        # increasing order (w2 has no left descent among the reflections
+        # swapping neighbours in dom(e)), so for an x with that domain the
+        # values of x * w2^-1 on dom(e) are those of x on its domain, in order.
         self._conjugation: dict[tuple[int, ...], tuple] = {}
         reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
@@ -84,7 +104,11 @@ class RennerMonoid:
                 z_non = self.weyl.min_coset_rep(z, tm.absorbing, "right")
                 if not self.weyl.in_parabolic(z_non.inverse() * z, tm.absorbing):
                     raise RuntimeError(f"direct-product split failed under {e.token}")
-                self._conjugation[dom] = (e, w2, u * z_non)
+                if tuple(map(w2.inverse(), e.idem.domain())) != dom:
+                    raise RuntimeError(
+                        f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
+                    )
+                self._conjugation[dom] = (e, w2, left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
 
         # Meet-under table: (e, f) -> {w: h} over the w minimal in their
@@ -116,7 +140,6 @@ class RennerMonoid:
                         )
                     table[w] = h
 
-        self._nf_memo: dict[PartialInjection, NormalForm] = {}
         self._elements: tuple[PartialInjection, ...] | None = None
 
     @property
@@ -154,17 +177,15 @@ class RennerMonoid:
     def normal_decompose(self, x: PartialInjection) -> NormalForm:
         """The unique canonical triple evaluating to x.
 
-        Steps: write x = w * d with w a unit-group extension of x and d the
-        restriction idempotent of its domain; d is a conjugate u * e * u^-1
-        of a lattice element.  Squeezing w * u * e * u^-1 to the canonical
-        triple reduces the right factor modulo the centralizer of e and
-        slides the nonabsorbing part of the remainder to the left; both
-        depend only on the domain and are tabled at construction.  What is
-        left is reducing the left factor modulo the absorbing parabolic of e.
+        The domain of x is that of a conjugate u * e * u^-1 of a lattice
+        element e, and it alone fixes e and w2 (tabled at construction).
+        Then x * w2^-1 = w1 * e, so w1 is the right-minimal unit with the
+        values of x * w2^-1 on dom(e), which are the values of x in order:
+        one lookup in the left-factor table of e, or, for the unit, x itself
+        if it lies in the unit group.  Nothing is memoised: a call reads
+        only tables fixed at construction, so threads may share an engine
+        freely.
         """
-        hit = self._nf_memo.get(x)
-        if hit is not None:
-            return hit
         if x.degree != self.fam.degree:
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
         dom = x.domain()
@@ -173,21 +194,18 @@ class RennerMonoid:
             raise OutsideMonoidError(
                 f"domain {dom} matches no conjugate of a lattice idempotent"
             )
-        ext = None
-        for w in self.weyl.elements:
-            if all(w(j) == x(j) for j in dom):
-                ext = w
-                break
-        if ext is None:
+        e, w2, table = conj
+        if table is None:
+            w1 = x if x in self.weyl else None
+        else:
+            w1 = table.get(bytes(filter(None, x.image)))
+        if w1 is None:
             raise OutsideMonoidError(
                 f"no unit-group permutation extends {x!r}; element is outside the monoid"
             )
-        e, w2, uz = conj
-        w1 = self.weyl.min_coset_rep(ext * uz, self.lattice.type_map(e).absorbing, "right")
         nf = NormalForm(w1, e, w2)
         if self.value(nf) != x:
             raise RuntimeError("normal decomposition does not reproduce its input")
-        self._nf_memo[x] = nf
         return nf
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
@@ -253,8 +271,3 @@ class RennerMonoid:
             if v == nf.w1 * self.weyl.s(t):
                 return nf
         raise RuntimeError("left-multiplication dichotomy failed")
-
-    def solomon_delta(self, nf: NormalForm) -> int:
-        """len(w1) - len(w2); offsets per idempotent are normalized to zero,
-        so only differences within a fixed idempotent are meaningful."""
-        return self.weyl.length(nf.w1) - self.weyl.length(nf.w2)

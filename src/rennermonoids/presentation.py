@@ -293,8 +293,8 @@ def verify_completeness(
     breakdown = []
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
-        w1s = weyl.coset_minima(tm.absorbing, "right")
-        w2s = weyl.coset_minima(tm.commuting, "left")
+        w1s = list(weyl.iter_coset_minima(tm.absorbing, "right"))
+        w2s = list(weyl.iter_coset_minima(tm.commuting, "left"))
         breakdown.append((e.token, len(w1s), len(w2s)))
         total += len(w1s) * len(w2s)
         for w1 in w1s:

@@ -2,7 +2,9 @@
 
 Nothing here touches normal forms, type maps, or coset tables; each oracle
 recomputes its answer from first principles so that it can legitimately
-check the corresponding engine path.
+check the corresponding engine path.  The one exception is
+`brute_normal_decompose`, which reduces its cosets with
+`WeylGroup.min_coset_rep`, itself checked against `brute_min_coset`.
 """
 
 import functools
@@ -116,3 +118,36 @@ def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugator(engine, dom):
+    """A lattice element e and a unit w with w(dom) = dom(e), by scanning W."""
+    for e in engine.lattice.elements:
+        target = set(e.idem.domain())
+        for w in engine.weyl:
+            if {w(j) for j in dom} == target:
+                return e, w
+    raise AssertionError(f"domain {dom} is conjugate to no lattice element")
+
+
+def brute_normal_decompose(engine, x):
+    """The normal form (w1, e, w2) of x by scanning W, or None if no unit
+    extends x.
+
+    With ext a unit extending x and w a unit carrying dom(x) onto dom(e),
+    x = ext * w2^-1 * e * w2 for every w2 in W_C * w, C the reflections
+    commuting with e; w2 is its minimum, and w1 the minimum of
+    ext * w2^-1 * W_A, A the reflections absorbed by e.
+    """
+    weyl = engine.weyl
+    dom = x.domain()
+    ext = next((w for w in weyl if all(w(j) == x(j) for j in dom)), None)
+    if ext is None:
+        return None
+    e, w = _conjugator(engine, dom)
+    commuting = [i for i in weyl.s_indices if weyl.s(i) * e.idem == e.idem * weyl.s(i)]
+    absorbing = [i for i in commuting if weyl.s(i) * e.idem == e.idem]
+    w2 = weyl.min_coset_rep(w, commuting, "left")
+    w1 = weyl.min_coset_rep(ext * w2.inverse(), absorbing, "right")
+    return w1, e, w2

@@ -127,7 +127,9 @@ def test_criterion_5_length_property_suite(engine):
                     bad += 1
                 if y != x:
                     nfy = eng.normal_decompose(y)
-                    if lens[y] - lens[x] != eng.solomon_delta(nfy) - eng.solomon_delta(nf):
+                    delta_x = weyl.length(nf.w1) - weyl.length(nf.w2)
+                    delta_y = weyl.length(nfy.w1) - weyl.length(nfy.w2)
+                    if lens[y] - lens[x] != delta_y - delta_x:
                         bad += 1
             for e in lat.nonunit:
                 right = x * e.idem

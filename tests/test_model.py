@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rennermonoids import (
     EnumerationCapExceeded,
@@ -36,6 +37,47 @@ def test_partial_injection_validation():
         PartialInjection((3, None))
     with pytest.raises(ValueError):
         PartialInjection.identity(2) * PartialInjection.identity(3)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [(2, None, 2), (None, 1, 1), (0, 1), (1, -1), (4, 1, 2), (1, 2, 3, 9)],
+)
+def test_public_construction_still_validates(image):
+    with pytest.raises(ValueError, match="repeated|out of range"):
+        PartialInjection(image)
+    with pytest.raises(ValueError):
+        PartialInjection.from_map(len(image), dict(enumerate(image, start=1)))
+
+
+@st.composite
+def rook_maps(draw, degree):
+    """A random injective partial map of the given degree."""
+    targets = draw(st.permutations(range(1, degree + 1)))
+    defined = draw(st.lists(st.booleans(), min_size=degree, max_size=degree))
+    return tuple(t if d else None for t, d in zip(targets, defined))
+
+
+@st.composite
+def rook_pairs(draw):
+    n = draw(st.integers(1, 8))
+    return draw(rook_maps(n)), draw(rook_maps(n))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rook_pairs())
+def test_unchecked_products_equal_checked_construction(pair):
+    a, b = map(PartialInjection, pair)
+    n = a.degree
+    product = a * b
+    checked = PartialInjection(
+        tuple(None if b(j) is None else a(b(j)) for j in range(1, n + 1))
+    )
+    assert product == checked and hash(product) == hash(checked)
+    inverse = a.inverse()
+    back = {v: j for j, v in enumerate(a.image, start=1) if v is not None}
+    checked = PartialInjection(tuple(back.get(j) for j in range(1, n + 1)))
+    assert inverse == checked and hash(inverse) == hash(checked)
 
 
 def test_generators_rook_rank3():

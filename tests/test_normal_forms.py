@@ -6,7 +6,7 @@ from rennermonoids import (
     OutsideMonoidError,
     PartialInjection,
 )
-from oracles import cheapest_word_costs
+from oracles import brute_normal_decompose, cheapest_word_costs
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 ORACLE_RANKS = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
@@ -44,6 +44,38 @@ def test_decompose_rejects_outsiders(engine):
         eng.normal_decompose(x)
     with pytest.raises(OutsideMonoidError):
         eng.normal_decompose(PartialInjection.restriction(4, [1, 4]))
+
+
+def test_decompose_rejects_map_no_unit_extends(engine):
+    eng = engine("B", 3)
+    # dom {1, 2} is the domain of e2, but 1 -> 1 and 2 -> 6 would force
+    # 5 -> 7 - 6 = 1 as well: no signed permutation extends the map
+    x = PartialInjection.from_map(6, {1: 1, 2: 6})
+    assert eng.normal_decompose(PartialInjection.restriction(6, [1, 2])).e.token == "e2"
+    assert brute_normal_decompose(eng, x) is None
+    with pytest.raises(OutsideMonoidError):
+        eng.normal_decompose(x)
+
+
+def test_even_orthogonal_engine_refuses_the_rest_of_the_symplectic_monoid(engine):
+    # same degree 8; the odd signed permutations and everything they reach
+    # lie in B4 only
+    eng = engine("D", 4)
+    inside = set(eng.elements())
+    outside = [x for x in engine("B", 4).elements() if x not in inside]
+    assert len(outside) == 3264
+    assert sum(x.is_permutation() for x in outside) == 192
+    for x in outside:
+        with pytest.raises(OutsideMonoidError):
+            eng.normal_decompose(x)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
+def test_decompose_matches_scan_of_unit_group(engine, family, rank):
+    eng = engine(family, rank)
+    for x in eng.elements():
+        nf = eng.normal_decompose(x)
+        assert (nf.w1, nf.e, nf.w2) == brute_normal_decompose(eng, x)
 
 
 @pytest.mark.parametrize("family,rank", SMALL + [("A", 4), ("B", 3)])
@@ -204,30 +236,33 @@ def test_left_mult_dichotomy_agrees_with_multiply(engine, family, rank):
 
 
 def test_solomon_delta_examples(engine):
+    # the Solomon offset len(w1) - len(w2) of a normal form
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
+    delta = lambda nf: weyl.length(nf.w1) - weyl.length(nf.w2)
     for e in lat.elements:
-        assert eng.solomon_delta(NormalForm(weyl.identity, e, weyl.identity)) == 0
+        assert delta(NormalForm(weyl.identity, e, weyl.identity)) == 0
     e1 = lat.by_token("e1")
-    assert eng.solomon_delta(NormalForm(weyl.s(1), e1, weyl.s(1))) == 0
-    assert eng.solomon_delta(NormalForm(weyl.s(1), e1, weyl.identity)) == 1
+    assert delta(NormalForm(weyl.s(1), e1, weyl.s(1))) == 0
+    assert delta(NormalForm(weyl.s(1), e1, weyl.identity)) == 1
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_RANKS)
 def test_solomon_difference_identity(engine, family, rank):
     # whenever s*x != x, the two length functions move by the same amount
     eng = engine(family, rank)
+    weyl = eng.weyl
     for x in eng.elements():
         nf = eng.normal_decompose(x)
-        for i in eng.weyl.s_indices:
-            y = eng.weyl.s(i) * x
+        for i in weyl.s_indices:
+            y = weyl.s(i) * x
             if y == x:
                 continue
             nfy = eng.normal_decompose(y)
             assert nfy.e == nf.e
-            assert eng.length_of_element(y) - eng.length_of_element(x) == eng.solomon_delta(
-                nfy
-            ) - eng.solomon_delta(nf)
+            delta_x = weyl.length(nf.w1) - weyl.length(nf.w2)
+            delta_y = weyl.length(nfy.w1) - weyl.length(nfy.w2)
+            assert eng.length_of_element(y) - eng.length_of_element(x) == delta_y - delta_x
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_RANKS)
