@@ -144,16 +144,35 @@ class WeylGroup:
             k = step[(ds & -ds).bit_length() - 1][k]
         return self.elements[k]
 
-    def min_double_coset_rep(
-        self, w: PartialInjection, J: Iterable[int], I: Iterable[int]
-    ) -> PartialInjection:
-        """Minimal-length element of W_J * w * W_I, by alternating one-sided reductions."""
-        J, I = frozenset(J), frozenset(I)
-        while True:
-            v = self.min_coset_rep(self.min_coset_rep(w, J, "left"), I, "right")
-            if v == w:
-                return w
-            w = v
+    def double_coset_minima(
+        self, J: Iterable[int], I: Iterable[int]
+    ) -> frozenset[PartialInjection]:
+        """All w minimal in W_J * w * W_I: no left descent in J, no right descent in I.
+
+        Walks right steps from 1 through the elements with no left descent in
+        J.  Each such w != 1 steps down to one by deleting a right descent,
+        which never adds a left descent, so the walk reaches all of them.
+        Then drops those with a right descent in I.
+        """
+        left, right = self._desc["left"], self._desc["right"]
+        mj, mi = _mask(J), _mask(I)
+        seen = {0}
+        queue = [0]
+        for k in queue:
+            for col in self._step["right"].values():
+                j = col[k]
+                if j not in seen and not left[j] & mj:
+                    seen.add(j)
+                    queue.append(j)
+        return frozenset(self.elements[k] for k in queue if not right[k] & mi)
+
+    def coxeter_exponent(self, i: int, j: int) -> int:
+        """m(i, j): the order of s_i * s_j, walked on the right-action table."""
+        si, sj = self._step["right"][i], self._step["right"][j]
+        k, m = sj[si[0]], 1
+        while k:
+            k, m = sj[si[k]], m + 1
+        return m
 
     def in_parabolic(self, w: PartialInjection, I: Iterable[int]) -> bool:
         """Whether w lies in W_I: whether I holds the letters of a reduced word of w."""

@@ -62,8 +62,6 @@ class CrossSectionLattice:
         gens: dict[GeneratorName, PartialInjection],
         weyl: WeylGroup,
     ):
-        self.fam = fam
-        self.weyl = weyl
         unit = LambdaElement(None, PartialInjection.identity(fam.degree))
         named = [
             LambdaElement(name, idem) for name, idem in gens.items() if name.kind != "s"

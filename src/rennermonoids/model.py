@@ -50,6 +50,20 @@ class MonoidFamily:
         """Order of the unit group in closed form: n!, 2^n n! or 2^(n-1) n! at rank n."""
         return factorial(n := self.rank) << {"A": 0, "B": n, "D": n - 1}[self.family]
 
+    def weyl_order_past(self, limit: int) -> int:
+        """The unit group's order if at most ``limit``, else a lower bound above it.
+
+        Multiplies the closed form up one factor k (A) or 2k (B, D; D skips
+        k = 1) at a time and stops once past ``limit``, so a huge rank costs
+        a few multiplications, not a factorial.
+        """
+        order = 2 if self.family == "B" else 1
+        for k in range(2, self.rank + 1):
+            order *= k if self.family == "A" else 2 * k
+            if order > limit:
+                break
+        return order
+
     @property
     def coxeter_indices(self) -> range:
         """Indices of the simple reflections s_1, ..., s_k."""

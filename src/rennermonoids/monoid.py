@@ -49,18 +49,20 @@ MAX_WEYL_ORDER = 350_000
 class RennerMonoid:
     """Engine for one family and rank: model, group, lattice, normal forms.
 
-    Tables are built at construction and never changed: the left-factor
-    table of each lattice element, the conjugation table of domains and the
-    meet-under table.  Normal forms are looked up, not memoised.  The one
-    cache filled on use is the enumerated element list, stored in a single
+    Two tables are built at construction and never changed: the
+    left-factor table of each lattice element and the conjugation table of
+    domains.  Normal forms are looked up, not memoised.  Each join
+    e * w * f is computed and checked when it is asked for.  The one cache
+    filled on use is the enumerated element list, stored in a single
     assignment, so threads may share an engine but may enumerate it twice.
     """
 
     def __init__(self, family: str, rank: int):
         self.fam = MonoidFamily(family, rank)
-        if self.fam.weyl_order > MAX_WEYL_ORDER:
+        order = self.fam.weyl_order_past(MAX_WEYL_ORDER)
+        if order > MAX_WEYL_ORDER:
             raise EnumerationCapExceeded(
-                f"unit group of {family}{rank} has {self.fam.weyl_order} elements,"
+                f"unit group of {family}{rank} has at least {order} elements,"
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
@@ -93,52 +95,19 @@ class RennerMonoid:
         self._conjugation: dict[tuple[int, ...], tuple] = {}
         reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
-            tm = self.lattice.type_map(e)
+            commuting = self.lattice.type_map(e).commuting
             queue = [(e.idem.domain(), self.identity, self.identity)]
             for dom, s, u in queue:
                 if dom in self._conjugation:
                     continue
                 u = s * u
-                w2 = self.weyl.min_coset_rep(u.inverse(), tm.commuting, "left")
-                z = (w2 * u).inverse()
-                z_non = self.weyl.min_coset_rep(z, tm.absorbing, "right")
-                if not self.weyl.in_parabolic(z_non.inverse() * z, tm.absorbing):
-                    raise RuntimeError(f"direct-product split failed under {e.token}")
+                w2 = self.weyl.min_coset_rep(u.inverse(), commuting, "left")
                 if tuple(map(w2.inverse(), e.idem.domain())) != dom:
                     raise RuntimeError(
                         f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
                     )
                 self._conjugation[dom] = (e, w2, left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
-
-        # Meet-under table: (e, f) -> {w: h} over the w minimal in their
-        # (e, f) double coset, h the idempotent with e*w*f = h*w = h.
-        lat, weyl = self.lattice, self.weyl
-        self._meet_under: dict[tuple[str, str], dict[PartialInjection, LambdaElement]] = {}
-        rights = {
-            f.token: weyl.coset_minima(lat.type_map(f).commuting, "right")
-            for f in lat.elements
-        }
-        for e in lat.elements:
-            left = weyl.coset_minima(lat.type_map(e).commuting, "left")
-            for f in lat.elements:
-                table = self._meet_under[e.token, f.token] = {}
-                for w in left & rights[f.token]:
-                    h = lat.by_idem(e.idem * w * f.idem)
-                    if h.idem * w != h.idem:
-                        raise RuntimeError(
-                            f"{e.token}*w*{f.token} does not absorb its middle factor"
-                        )
-                    if not weyl.in_parabolic(w, lat.type_map(h).absorbing):
-                        raise RuntimeError(
-                            f"middle factor of {e.token}*w*{f.token} escapes the"
-                            f" absorbing subgroup of {h.token}"
-                        )
-                    if not lat.leq(h, lat.meet(e, f)):
-                        raise RuntimeError(
-                            f"{e.token}*w*{f.token} is not below the plain meet"
-                        )
-                    table[w] = h
 
         self._elements: tuple[PartialInjection, ...] | None = None
 
@@ -166,9 +135,12 @@ class RennerMonoid:
 
     def evaluate(self, word: Iterable[GeneratorName]) -> PartialInjection:
         """Product of generator letters, word read left to right."""
-        out = self.identity
-        for g in word:
-            out = out * self.generator(g)
+        out, gens = self.identity, self.generators
+        try:
+            for g in word:
+                out = out * gens[g]
+        except KeyError as exc:
+            raise ValueError(f"unknown generator {exc.args[0]}") from None
         return out
 
     def value(self, nf: NormalForm) -> PartialInjection:
@@ -227,7 +199,8 @@ class RennerMonoid:
 
     def meet_under_domain(self, e: LambdaElement, f: LambdaElement) -> frozenset[PartialInjection]:
         """All w minimal in their double coset for the pair (e, f)."""
-        return frozenset(self._meet_under[e.token, f.token])
+        tm = self.lattice.type_map
+        return self.weyl.double_coset_minima(tm(e).commuting, tm(f).commuting)
 
     def reduced_join_domain(
         self, e: LambdaElement, f: LambdaElement
@@ -241,19 +214,35 @@ class RennerMonoid:
             if lat.lt(e, g) or lat.lt(f, g):
                 up &= lat.type_map(g).commuting
         return frozenset(
-            w for w in self._meet_under[e.token, f.token] if self.weyl.in_parabolic(w, up)
+            w for w in self.meet_under_domain(e, f) if self.weyl.in_parabolic(w, up)
         )
 
     def meet_under(
         self, e: LambdaElement, w: PartialInjection, f: LambdaElement
     ) -> LambdaElement:
-        """The lattice element equal to e * w * f, for double-coset-minimal w."""
-        try:
-            return self._meet_under[e.token, f.token][w]
-        except KeyError:
-            raise ValueError(
-                f"w not double-coset minimal for ({e.token}, {f.token}): {w!r}"
-            ) from None
+        """The lattice element h equal to e * w * f, for double-coset-minimal w.
+
+        Checks that h * w = h, that w lies in the absorbing parabolic of h
+        and that h lies below the meet of e and f.
+        """
+        lat, weyl = self.lattice, self.weyl
+        if (
+            w not in weyl
+            or weyl.left_descents(w) & lat.type_map(e).commuting
+            or weyl.right_descents(w) & lat.type_map(f).commuting
+        ):
+            raise ValueError(f"w not double-coset minimal for ({e.token}, {f.token}): {w!r}")
+        h = lat.by_idem(e.idem * w * f.idem)
+        if h.idem * w != h.idem:
+            raise RuntimeError(f"{e.token}*w*{f.token} does not absorb its middle factor")
+        if not weyl.in_parabolic(w, lat.type_map(h).absorbing):
+            raise RuntimeError(
+                f"middle factor of {e.token}*w*{f.token} escapes the"
+                f" absorbing subgroup of {h.token}"
+            )
+        if not lat.leq(h, lat.meet(e, f)):
+            raise RuntimeError(f"{e.token}*w*{f.token} is not below the plain meet")
+        return h
 
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
         """Left multiplication by s_i via the absorb-or-extend dichotomy.

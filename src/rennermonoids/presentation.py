@@ -15,14 +15,11 @@ joins e w f = h).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .model import (
-    DEFAULT_ENUMERATION_CAP,
-    GeneratorName,
-    MonoidFamily,
-    PartialInjection,
-)
+from .coxeter import WeylGroup
+from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, PartialInjection
 from .monoid import RennerMonoid
 
 
@@ -91,33 +88,12 @@ def braid_word(i: int, j: int, m: int) -> tuple[GeneratorName, ...]:
     return tuple(GeneratorName.s(i if k % 2 == 0 else j) for k in range(m))
 
 
-def coxeter_pairs(fam: MonoidFamily) -> list[tuple[int, int, int]]:
-    """All unordered generator pairs (i, j, m) with their braid exponent m.
+def coxeter_pairs(weyl: WeylGroup) -> list[tuple[int, int, int]]:
+    """All unordered generator pairs (i, j, m), m the order of s_i * s_j in W.
 
-    Non-edges of the Coxeter graph get m = 2.  Family A is the simply laced
-    chain, family B has one m = 4 edge at the end of the chain, family D is
-    the chain on s_1 .. s_{l-1} with s_l branching off s_{l-2}.
+    Non-edges of the Coxeter graph get m = 2.
     """
-    idx = list(fam.coxeter_indices)
-    l = fam.rank
-    out = []
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            m = 2
-            if fam.family == "A":
-                if j == i + 1:
-                    m = 3
-            elif fam.family == "B":
-                if j == i + 1:
-                    m = 4 if j == l else 3
-            else:
-                if j == i + 1 and j <= l - 1:
-                    m = 3
-                elif j == l and i == l - 2:
-                    m = 3
-            out.append((i, j, m))
-    return out
+    return [(i, j, weyl.coxeter_exponent(i, j)) for i, j in combinations(weyl.s_indices, 2)]
 
 
 def _sort_key(engine: RennerMonoid, rel: Relation):
@@ -154,7 +130,7 @@ def _coxeter_relations(engine: RennerMonoid) -> list[Relation]:
         Relation((GeneratorName.s(i), GeneratorName.s(i)), (), "COX1")
         for i in engine.weyl.s_indices
     ]
-    for i, j, m in coxeter_pairs(engine.fam):
+    for i, j, m in coxeter_pairs(engine.weyl):
         rels.append(Relation(braid_word(i, j, m), braid_word(j, i, m), "COX2"))
     return rels
 
@@ -203,12 +179,10 @@ def generate_reduced(engine: RennerMonoid) -> Presentation:
     return _generate(engine, "reduced")
 
 
-def _explicit_shared(fam: MonoidFamily, top: int) -> list[Relation]:
+def _explicit_shared(engine: RennerMonoid, top: int) -> list[Relation]:
     """COX plus the triangular idempotent families common to all three tables."""
     S, E = GeneratorName.s, GeneratorName.e
-    rels = [Relation((S(i), S(i)), (), "COX1") for i in fam.coxeter_indices]
-    for i, j, m in coxeter_pairs(fam):
-        rels.append(Relation(braid_word(i, j, m), braid_word(j, i, m), "COX2"))
+    rels = _coxeter_relations(engine)
     for j in range(1, top + 1):
         for i in range(1, j):
             rels.append(Relation((E(j), S(i)), (S(i), E(j)), "TYM1"))
@@ -239,11 +213,11 @@ def generate_explicit(engine: RennerMonoid) -> Presentation:
     l = fam.rank
     if fam.family == "A":
         top = fam.degree - 1
-        rels = _explicit_shared(fam, top) + _explicit_absorbing(top, top - 1)
+        rels = _explicit_shared(engine, top) + _explicit_absorbing(top, top - 1)
         for i in range(1, top + 1):
             rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
     elif fam.family == "B":
-        rels = _explicit_shared(fam, l) + _explicit_absorbing(l, l - 1)
+        rels = _explicit_shared(engine, l) + _explicit_absorbing(l, l - 1)
         for i in range(1, l + 1):
             rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
         rels.append(Relation((E(l), S(l), S(l - 1), S(l), E(l)), (E(l - 2),), "TYM3"))
@@ -251,7 +225,7 @@ def generate_explicit(engine: RennerMonoid) -> Presentation:
         F = GeneratorName.f(l)
         # The absorbing family stops at j = l - 2: nothing absorbs into the
         # three rank >= l - 1 idempotents of this family.
-        rels = _explicit_shared(fam, l) + _explicit_absorbing(l, l - 2)
+        rels = _explicit_shared(engine, l) + _explicit_absorbing(l, l - 2)
         rels.append(Relation((F, E(l)), (E(l - 1),), "TYM3"))
         rels.append(Relation((E(l), F), (E(l - 1),), "TYM3"))
         for i in range(1, l):

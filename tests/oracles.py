@@ -114,6 +114,24 @@ def brute_up_minima(engine, e):
     return frozenset(filter(keep, left)), frozenset(filter(keep, right))
 
 
+def coxeter_graph_exponents(family, rank):
+    """(i, j, m) for every pair i < j of simple reflections, read off the
+    Coxeter graph as drawn for each family: A the simply laced chain s_1 ..
+    s_{rank-1}; B the chain s_1 .. s_rank with m = 4 on its last edge; D the
+    chain s_1 .. s_{rank-1} with s_rank joined to s_{rank-2}.  Non-edges get 2.
+    """
+    k = rank - 1 if family == "A" else rank
+    out = []
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        m = 2
+        if family == "D" and j == rank:
+            m = 3 if i == rank - 2 else 2
+        elif j == i + 1:
+            m = 4 if family == "B" and j == rank else 3
+        out.append((i, j, m))
+    return out
+
+
 def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):

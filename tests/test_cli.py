@@ -172,3 +172,29 @@ def test_oversized_rank_orders_exceed_the_limit():
 
     assert MonoidFamily("A", 12).weyl_order == 479001600
     assert MonoidFamily("A", 12).weyl_order > MAX_WEYL_ORDER
+
+
+def test_huge_rank_refused_by_the_size_limit(capsys):
+    from rennermonoids.monoid import MAX_WEYL_ORDER
+
+    code, out, err = run(capsys, "--family", "B", "--rank", "1500", "len", "1")
+    assert code == 3
+    assert out == ""
+    assert f"limit {MAX_WEYL_ORDER}" in err
+
+
+def test_huge_rank_refused_without_its_factorial(capsys, monkeypatch):
+    import math
+
+    import rennermonoids.model as model
+
+    def small_factorial(n):
+        if n > 20:
+            raise AssertionError(f"factorial({n}) computed")
+        return math.factorial(n)
+
+    monkeypatch.setattr(model, "factorial", small_factorial)
+    code, out, err = run(capsys, "--family", "D", "--rank", str(10**9), "len", "1")
+    assert code == 3
+    assert out == ""
+    assert "limit" in err

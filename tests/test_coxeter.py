@@ -107,22 +107,20 @@ def test_min_coset_rep_against_brute_force(engine, family, rank):
                     assert not (weyl.left_descents(rep) & set(gens))
 
 
-def test_min_double_coset_rep_examples(engine):
+def test_double_coset_minima_examples(engine):
     weyl = engine("A", 3).weyl
-    w = weyl.evaluate([1, 2, 1])
-    assert weyl.min_double_coset_rep(weyl.identity, {1}, {2}) == weyl.identity
-    assert weyl.min_double_coset_rep(w, {1}, {2}) == weyl.evaluate([2, 1])
-    assert weyl.min_double_coset_rep(w, set(), set()) == w
+    assert weyl.double_coset_minima({1}, {2}) == {weyl.identity, weyl.evaluate([2, 1])}
+    assert weyl.double_coset_minima({1, 2}, {1, 2}) == {weyl.identity}
+    assert weyl.double_coset_minima(set(), set()) == frozenset(weyl)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
-def test_min_double_coset_rep_against_brute_force(engine, family, rank):
+def test_double_coset_minima_against_brute_force(engine, family, rank):
     weyl = engine(family, rank).weyl
     for J in all_subsets(weyl.s_indices):
         for I in all_subsets(weyl.s_indices):
-            for w in weyl:
-                got = weyl.min_double_coset_rep(w, J, I)
-                assert got == brute_min_double_coset(weyl, w, J, I)
+            expected = {brute_min_double_coset(weyl, w, J, I) for w in weyl}
+            assert weyl.double_coset_minima(J, I) == expected
 
 
 def test_in_parabolic(engine):

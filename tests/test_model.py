@@ -16,6 +16,18 @@ from oracles import rook_monoid_size
 S, E, F = GeneratorName.s, GeneratorName.e, GeneratorName.f
 
 
+@pytest.mark.parametrize("family,low", [("A", 1), ("B", 2), ("D", 3)])
+def test_weyl_order_past_stops_above_the_limit(family, low):
+    for rank in range(low, 11):
+        order = MonoidFamily(family, rank).weyl_order
+        for limit in (1, 7, 719, 720, 350_000, order):
+            got = MonoidFamily(family, rank).weyl_order_past(limit)
+            if order <= limit:
+                assert got == order
+            else:
+                assert limit < got <= order
+
+
 def test_family_validation():
     assert MonoidFamily("A", 1).degree == 1
     assert MonoidFamily("B", 2).degree == 4

@@ -176,6 +176,14 @@ def test_meet_under_examples(engine):
             assert eng_d.meet_under(e, weyl_d.identity, f) == lat_d.meet(e, f)
 
 
+def test_evaluate_rejects_unknown_generators(engine):
+    eng = engine("B", 2)
+    with pytest.raises(ValueError, match="unknown generator e9"):
+        eng.evaluate([GeneratorName.s(1), GeneratorName.e(9)])
+    with pytest.raises(ValueError, match="unknown generator e9"):
+        eng.generator(GeneratorName.e(9))
+
+
 def test_meet_under_rejects_non_minimal(engine):
     eng = engine("A", 3)
     e1 = eng.lattice.by_token("e1")

@@ -5,6 +5,7 @@ import pytest
 from rennermonoids import (
     GeneratorName,
     Relation,
+    coxeter_pairs,
     generate_explicit,
     generate_full,
     generate_reduced,
@@ -14,6 +15,7 @@ from rennermonoids import (
     verify_relations,
     word_str,
 )
+from oracles import coxeter_graph_exponents
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)]
@@ -81,6 +83,14 @@ def test_reduced_even_orthogonal_branch_relations(engine):
         "f3 s2 s1 s3 e3 = e0",
     ):
         assert expected in lines
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 5), ("B", 2), ("B", 4), ("D", 3), ("D", 4), ("D", 5)],
+)
+def test_coxeter_pairs_match_the_coxeter_graph(engine, family, rank):
+    assert coxeter_pairs(engine(family, rank).weyl) == coxeter_graph_exponents(family, rank)
 
 
 @pytest.mark.parametrize("family,rank", SMALL)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rennermonoids import GeneratorName
+from rennermonoids import GeneratorName, rewrite_to_normal
 
 RANKS = [("A", 6), ("B", 4), ("D", 5)]
 
@@ -68,3 +68,44 @@ def test_multiply_is_associative(engine, family, rank, data):
     eng = engine(family, rank)
     a, b, c = (decomposed(data, eng) for _ in range(3))
     assert eng.multiply(eng.multiply(a, b), c) == eng.multiply(a, eng.multiply(b, c))
+
+
+@pytest.mark.parametrize("family,rank", RANKS)
+@bounded
+@given(data=st.data())
+def test_join_is_the_product_of_its_factors(engine, family, rank, data):
+    eng = engine(family, rank)
+    lat, weyl = eng.lattice, eng.weyl
+    e, f = (data.draw(st.sampled_from(lat.nonunit)) for _ in range(2))
+    w = data.draw(st.sampled_from(sorted(eng.meet_under_domain(e, f), key=lambda w: w.image)))
+    assert eng.meet_under(e, w, f).idem == e.idem * w * f.idem
+    for i in sorted(lat.type_map(f).commuting):
+        with pytest.raises(ValueError, match="double-coset minimal"):
+            eng.meet_under(e, w * weyl.s(i), f)
+    for i in sorted(lat.type_map(e).commuting):
+        with pytest.raises(ValueError, match="double-coset minimal"):
+            eng.meet_under(e, weyl.s(i) * w, f)
+
+
+@pytest.mark.parametrize("family,rank", RANKS)
+@bounded
+@given(data=st.data())
+def test_rewrite_to_normal_is_idempotent(engine, family, rank, data):
+    eng = engine(family, rank)
+    canon = rewrite_to_normal(eng, random_word(data, eng))
+    assert rewrite_to_normal(eng, canon) == canon
+
+
+@pytest.mark.parametrize("family,rank", RANKS)
+@bounded
+@given(data=st.data())
+def test_length_is_subadditive_and_idempotent_letters_never_raise_it(
+    engine, family, rank, data
+):
+    eng = engine(family, rank)
+    x, y = (eng.evaluate(random_word(data, eng)) for _ in range(2))
+    lx, ly = eng.length_of_element(x), eng.length_of_element(y)
+    assert eng.length_of_element(x * y) <= lx + ly
+    p = eng.generator(data.draw(st.sampled_from([g for g in eng.alphabet if g.kind != "s"])))
+    assert eng.length_of_element(p * x) <= lx
+    assert eng.length_of_element(x * p) <= lx
