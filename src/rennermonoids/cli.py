@@ -31,7 +31,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_TOKEN = re.compile(r"([sef])(\d+)")
+_TOKEN = re.compile(r"[sef][0-9]+")
 
 
 class WordParseError(ValueError):
@@ -41,15 +41,14 @@ class WordParseError(ValueError):
 def parse_word(text: str, engine: RennerMonoid) -> list[GeneratorName]:
     """Whitespace-separated tokens: s<i>, e<j>, f<l>, or 1 for the empty word."""
     word = []
-    alphabet = set(engine.alphabet)
+    by_name = {str(g): g for g in engine.alphabet}
     for pos, tok in enumerate(text.split(), start=1):
         if tok == "1":
             continue
-        m = _TOKEN.fullmatch(tok)
-        if m is None:
+        if _TOKEN.fullmatch(tok) is None:
             raise WordParseError(f"malformed token {tok!r} at position {pos}")
-        g = GeneratorName(m.group(1), int(m.group(2)))
-        if g not in alphabet:
+        g = by_name.get(tok)
+        if g is None:
             raise WordParseError(f"unknown generator {tok} at position {pos}")
         word.append(g)
     return word
@@ -237,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("word")
     sp = sub.add_parser("present", help="emit a presentation")
     sp.add_argument(
-        "--flavor", choices=["full", "reduced", "explicit"], default="reduced"
+        "--flavor",
+        choices=["full", "reduced", "explicit"],
+        default="reduced",
+        help="relation family (default reduced); explicit is a sound fixed table,"
+        " not a presentation of the B or D monoid from rank 3",
     )
     sub.add_parser("verify", help="relation soundness and completeness checks")
     sp = sub.add_parser("enumerate", help="enumerate the monoid")

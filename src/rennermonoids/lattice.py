@@ -26,10 +26,6 @@ class LambdaElement:
     def token(self) -> str:
         return "1" if self.name is None else str(self.name)
 
-    @property
-    def is_unit(self) -> bool:
-        return self.name is None
-
 
 @dataclass(frozen=True)
 class TypeMap:
@@ -48,11 +44,11 @@ class TypeMap:
 class CrossSectionLattice:
     """The finite lattice of named idempotents: order, meet and type maps.
 
-    Order and meet come from model products (e <= f iff ef = fe = e); type
-    maps are read off generator-by-generator, and the construction checks
-    that each centralizer parabolic is the direct product of its absorbing
-    and nonabsorbing parts.  Parabolics and coset minima are left to
-    `WeylGroup.parabolic` and `WeylGroup.coset_minima` on the type-map sets.
+    The meet comes from model products, the order from the meet (e <= f iff
+    ef = fe = e); type maps are read off generator-by-generator, and the
+    construction checks that each centralizer parabolic is the direct product
+    of its absorbing and nonabsorbing parts.  Parabolics and coset minima are
+    left to `WeylGroup.parabolic` and `WeylGroup.coset_minima` on the type maps.
     Immutable after construction.
     """
 
@@ -74,7 +70,6 @@ class CrossSectionLattice:
         self._by_token = {e.token: e for e in self.elements}
         self._by_idem = {e.idem: e for e in self.elements}
 
-        self._leq: dict[tuple[str, str], bool] = {}
         self._meet: dict[tuple[str, str], LambdaElement] = {}
         for a in self.elements:
             for b in self.elements:
@@ -84,7 +79,6 @@ class CrossSectionLattice:
                     raise RuntimeError(
                         f"lattice idempotents {a.token} and {b.token} do not commute"
                     )
-                self._leq[a.token, b.token] = p == a.idem
                 m = self._by_idem.get(p)
                 if m is None:
                     raise RuntimeError(
@@ -131,10 +125,10 @@ class CrossSectionLattice:
         return self._position[e.token]
 
     def leq(self, e: LambdaElement, f: LambdaElement) -> bool:
-        return self._leq[e.token, f.token]
+        return self._meet[e.token, f.token] is e
 
     def lt(self, e: LambdaElement, f: LambdaElement) -> bool:
-        return e.token != f.token and self._leq[e.token, f.token]
+        return e.token != f.token and self.leq(e, f)
 
     def meet(self, e: LambdaElement, f: LambdaElement) -> LambdaElement:
         return self._meet[e.token, f.token]

@@ -52,9 +52,9 @@ class RennerMonoid:
     Two tables are built at construction and never changed: the
     left-factor table of each lattice element and the conjugation table of
     domains.  Normal forms are looked up, not memoised.  Each join
-    e * w * f is computed and checked when it is asked for.  The one cache
-    filled on use is the enumerated element list, stored in a single
-    assignment, so threads may share an engine but may enumerate it twice.
+    e * w * f is computed and checked when it is asked for, and the element
+    list is enumerated afresh on each call.  The engine holds no state
+    filled on use, so threads may share it freely.
     """
 
     def __init__(self, family: str, rank: int):
@@ -109,8 +109,6 @@ class RennerMonoid:
                 self._conjugation[dom] = (e, w2, left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
 
-        self._elements: tuple[PartialInjection, ...] | None = None
-
     @property
     def identity(self) -> PartialInjection:
         return self.weyl.identity
@@ -126,12 +124,21 @@ class RennerMonoid:
             raise ValueError(f"unknown generator {name}") from None
 
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PartialInjection, ...]:
-        """All monoid elements in deterministic enumeration order (cached)."""
-        if self._elements is None:
-            self._elements = tuple(enumerate_monoid(self.fam, cap))
-        if len(self._elements) > cap:
-            raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
-        return self._elements
+        """All monoid elements in deterministic enumeration order.
+
+        Refused before enumerating if the monoid has more than ``cap``
+        elements: one per normal form, so sum over e of
+        [W : W_abs(e)] * [W : W_com(e)].
+        """
+        order, tm = len(self.weyl), self.lattice.type_map
+        size = sum(
+            order // self.weyl.parabolic_order(tm(e).absorbing)
+            * (order // self.weyl.parabolic_order(tm(e).commuting))
+            for e in self.lattice.elements
+        )
+        if size > cap:
+            raise EnumerationCapExceeded(f"enumeration cap exceeded: {size} elements, cap={cap}")
+        return tuple(enumerate_monoid(self.fam, cap))
 
     def evaluate(self, word: Iterable[GeneratorName]) -> PartialInjection:
         """Product of generator letters, word read left to right."""

@@ -7,6 +7,9 @@ idempotents):
   reduced   the same but only for w that centralize everything above,
   explicit  the fixed per-family relation tables, used as golden targets.
 
+The explicit tables are sound, but from rank 3 the B and D tables present
+a larger monoid (at D3, f3 s1 = s1 f3 holds but does not follow from them).
+
 Relation tags: COX1 (involutions), COX2 (braid and commutation), TYM1
 (commuting idempotent moves), TYM2 (absorbed letters), TYM3 (idempotent
 joins e w f = h).
@@ -179,8 +182,9 @@ def generate_reduced(engine: RennerMonoid) -> Presentation:
     return _generate(engine, "reduced")
 
 
-def _explicit_shared(engine: RennerMonoid, top: int) -> list[Relation]:
-    """COX plus the triangular idempotent families common to all three tables."""
+def _explicit_shared(engine: RennerMonoid, top: int, j_max: int) -> list[Relation]:
+    """COX plus the triangular idempotent families common to all three tables,
+    with the absorbing family e_j s_i = s_i e_j = e_j for j <= j_max < i."""
     S, E = GeneratorName.s, GeneratorName.e
     rels = _coxeter_relations(engine)
     for j in range(1, top + 1):
@@ -193,12 +197,6 @@ def _explicit_shared(engine: RennerMonoid, top: int) -> list[Relation]:
             else:
                 rels.append(Relation((E(i), E(j)), (E(i),), "TYM3"))
                 rels.append(Relation((E(j), E(i)), (E(i),), "TYM3"))
-    return rels
-
-
-def _explicit_absorbing(top: int, j_max: int) -> list[Relation]:
-    S, E = GeneratorName.s, GeneratorName.e
-    rels = []
     for j in range(j_max + 1):
         for i in range(j + 1, top + 1):
             rels.append(Relation((E(j), S(i)), (E(j),), "TYM2"))
@@ -211,21 +209,18 @@ def generate_explicit(engine: RennerMonoid) -> Presentation:
     fam = engine.fam
     S, E = GeneratorName.s, GeneratorName.e
     l = fam.rank
-    if fam.family == "A":
-        top = fam.degree - 1
-        rels = _explicit_shared(engine, top) + _explicit_absorbing(top, top - 1)
+    if fam.family != "D":
+        top = fam.degree - 1 if fam.family == "A" else l
+        rels = _explicit_shared(engine, top, top - 1)
         for i in range(1, top + 1):
             rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
-    elif fam.family == "B":
-        rels = _explicit_shared(engine, l) + _explicit_absorbing(l, l - 1)
-        for i in range(1, l + 1):
-            rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
-        rels.append(Relation((E(l), S(l), S(l - 1), S(l), E(l)), (E(l - 2),), "TYM3"))
+        if fam.family == "B":
+            rels.append(Relation((E(l), S(l), S(l - 1), S(l), E(l)), (E(l - 2),), "TYM3"))
     else:
         F = GeneratorName.f(l)
         # The absorbing family stops at j = l - 2: nothing absorbs into the
         # three rank >= l - 1 idempotents of this family.
-        rels = _explicit_shared(engine, l) + _explicit_absorbing(l, l - 2)
+        rels = _explicit_shared(engine, l, l - 2)
         rels.append(Relation((F, E(l)), (E(l - 1),), "TYM3"))
         rels.append(Relation((E(l), F), (E(l - 1),), "TYM3"))
         for i in range(1, l):

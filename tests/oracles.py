@@ -18,6 +18,11 @@ def rook_monoid_size(n: int) -> int:
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
+def weyl_order(family: str, rank: int) -> int:
+    """Order of the unit group in closed form: n!, 2^n n! or 2^(n-1) n! at rank n."""
+    return factorial(rank) << {"A": 0, "B": rank, "D": rank - 1}[family]
+
+
 def cheapest_word_costs(engine) -> dict:
     """Minimal word cost per element, reflection letters cost 1, idempotents 0.
 

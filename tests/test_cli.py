@@ -4,6 +4,7 @@ import pytest
 
 from rennermonoids import GeneratorName
 from rennermonoids.cli import WordParseError, main, parse_word
+from oracles import weyl_order
 
 
 def run(capsys, *argv):
@@ -32,6 +33,16 @@ def test_parse_word(engine):
         parse_word("s9", eng)
     with pytest.raises(WordParseError, match="malformed token 'x2' at position 2"):
         parse_word("s1 x2", eng)
+    # Arabic-Indic and fullwidth digits are malformed; a leading zero or an
+    # index too long for int() is an unknown generator
+    with pytest.raises(WordParseError, match="malformed token 's\u0661' at position 1"):
+        parse_word("s\u0661 s1", eng)
+    with pytest.raises(WordParseError, match="malformed token 's\uff12' at position 2"):
+        parse_word("s1 s\uff12", eng)
+    with pytest.raises(WordParseError, match="unknown generator s01 at position 1"):
+        parse_word("s01", eng)
+    with pytest.raises(WordParseError, match="unknown generator s1{5000} at position 2"):
+        parse_word("e1 s" + "1" * 5000, eng)
 
 
 def test_nf_text(capsys):
@@ -149,6 +160,25 @@ def test_out_of_range_index_exit_code(capsys):
     code, out, err = run(capsys, "--family", "B", "--rank", "2", "len", "e9")
     assert code == 2
     assert "unknown generator e9" in err
+    code, out, err = run(capsys, "--family", "B", "--rank", "2", "len", "s" + "9" * 5000)
+    assert code == 2
+    assert "unknown generator s999" in err
+
+
+def test_oversized_enumeration_refused_before_enumerating(capsys, monkeypatch):
+    import rennermonoids.monoid as monoid
+
+    code, out, err = run(capsys, "--family", "B", "--rank", "4", "--cap", "13889", "enumerate")
+    assert (code, out) == (0, "count: 13889\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_monoid entered")
+
+    monkeypatch.setattr(monoid, "enumerate_monoid", never)
+    code, out, err = run(capsys, "--family", "B", "--rank", "4", "--cap", "13888", "enumerate")
+    assert code == 3
+    assert out == ""
+    assert "13889 elements" in err and "cap=13888" in err
 
 
 def test_oversized_rank_refused_before_any_build(capsys, monkeypatch):
@@ -170,8 +200,8 @@ def test_oversized_rank_orders_exceed_the_limit():
     from rennermonoids import MonoidFamily
     from rennermonoids.monoid import MAX_WEYL_ORDER
 
-    assert MonoidFamily("A", 12).weyl_order == 479001600
-    assert MonoidFamily("A", 12).weyl_order > MAX_WEYL_ORDER
+    assert weyl_order("A", 12) == 479001600
+    assert MonoidFamily("A", 12).weyl_order_past(10**9) == 479001600 > MAX_WEYL_ORDER
 
 
 def test_huge_rank_refused_by_the_size_limit(capsys):
@@ -186,14 +216,14 @@ def test_huge_rank_refused_by_the_size_limit(capsys):
 def test_huge_rank_refused_without_its_factorial(capsys, monkeypatch):
     import math
 
-    import rennermonoids.model as model
+    factorial = math.factorial
 
     def small_factorial(n):
         if n > 20:
             raise AssertionError(f"factorial({n}) computed")
-        return math.factorial(n)
+        return factorial(n)
 
-    monkeypatch.setattr(model, "factorial", small_factorial)
+    monkeypatch.setattr(math, "factorial", small_factorial)
     code, out, err = run(capsys, "--family", "D", "--rank", str(10**9), "len", "1")
     assert code == 3
     assert out == ""

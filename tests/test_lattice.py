@@ -277,7 +277,9 @@ def test_nonabsorbing_sets_grow_up_the_lattice(engine, family, rank):
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("D", 3)])
-def test_lattice_is_a_transversal_of_idempotent_orbits(engine, family, rank):
+def test_lattice_is_a_transversal_of_idempotent_orbits(
+    engine, elements, family, rank
+):
     eng = engine(family, rank)
     lat, weyl = eng.lattice, eng.weyl
     orbit = {
@@ -285,7 +287,7 @@ def test_lattice_is_a_transversal_of_idempotent_orbits(engine, family, rank):
     }
     for a, b in itertools.combinations(lat.elements, 2):
         assert not (orbit[a.token] & orbit[b.token])
-    idempotents = {x for x in eng.elements() if x.is_idempotent()}
+    idempotents = {x for x in elements(family, rank) if x.is_idempotent()}
     covered = set().union(*orbit.values())
     assert idempotents == covered
     for x in idempotents:

@@ -158,9 +158,9 @@ def test_rewrite_examples(engine):
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("D", 3)])
-def test_rewrite_is_idempotent_and_value_preserving(engine, family, rank):
+def test_rewrite_is_idempotent_and_value_preserving(engine, elements, family, rank):
     eng = engine(family, rank)
-    for x in eng.elements():
+    for x in elements(family, rank):
         word = eng.canonical_word(eng.normal_decompose(x))
         assert eng.evaluate(word) == x
         assert rewrite_to_normal(eng, word) == word
