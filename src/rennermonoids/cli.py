@@ -1,9 +1,11 @@
 """Command line interface: normal forms, lengths, presentations, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration cap exceeded or unit group too large to build.  All
-diagnostics go to stderr; with --json the payload on stdout is a single
-compact JSON object with family, rank, command, result.
+3 enumeration cap exceeded or unit group too large to build, 4 an internal
+consistency check of the engine failed (a RuntimeError from a build-time
+or per-call self-check, reported as "error: internal check failed: ...").
+All diagnostics go to stderr; with --json the payload on stdout is a
+single compact JSON object with family, rank, command, result.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 _TOKEN = re.compile(r"[sef][0-9]+")
 
@@ -269,9 +272,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (WordParseError, OutsideMonoidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EnumerationCapExceeded as exc:
+    except EnumerationCapExceeded as exc:  # a RuntimeError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         payload = {
             "family": args.family,

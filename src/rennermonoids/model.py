@@ -9,13 +9,19 @@ Families:
   A  the full rook monoid of degree n (unit group the symmetric group),
   B  the symplectic family, matrix degree n = 2 * rank,
   D  the even special orthogonal family, matrix degree n = 2 * rank.
+
+PartialInjection is the type the package takes and returns, and its
+product is the general one.  Hot loops that multiply on the right by a
+fixed generator compile it once with `right_action` and work on image
+tuples instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -226,25 +232,41 @@ def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]
     return gens
 
 
+def right_action(g: PartialInjection) -> Callable[[tuple], tuple[int | None, ...]]:
+    """Right multiplication by g, compiled once into a gather on padded images.
+
+    Applied to ``(None, *x.image)`` it returns the image of x * g: entry j is
+    x(g(j)), and index 0 of the padding reads None wherever g is undefined.
+    """
+    index = [v or 0 for v in g.image]
+    if len(index) == 1:  # itemgetter of one index returns a scalar, not a tuple
+        (i,) = index
+        return lambda padded: (padded[i],)
+    return itemgetter(*index)
+
+
 def enumerate_monoid(
     fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[PartialInjection]:
     """Breadth-first closure of the generators under composition, unit included.
 
-    The returned list is in deterministic insertion order.  Raises
+    Each generator acts by its compiled `right_action` on image tuples, so
+    the closure builds no PartialInjection until it returns.  The returned
+    list is in deterministic insertion order: x before y when x was reached
+    first, and the products of one x in generator order.  Raises
     EnumerationCapExceeded as soon as the closure would outgrow ``cap``.
     """
-    gens = list(build_generators(fam).values())
-    unit = PartialInjection.identity(fam.degree)
-    seen: dict[PartialInjection, None] = {unit: None}
+    actions = [right_action(g) for g in build_generators(fam).values()]
+    unit = tuple(range(1, fam.degree + 1))
+    seen: dict[tuple[int | None, ...], None] = {unit: None}
     queue = deque([unit])
     while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
+        padded = (None, *queue.popleft())
+        for act in actions:
+            y = act(padded)
             if y not in seen:
                 if len(seen) >= cap:
                     raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
                 seen[y] = None
                 queue.append(y)
-    return list(seen)
+    return list(map(_unchecked, seen))

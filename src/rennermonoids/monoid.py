@@ -22,8 +22,10 @@ from .model import (
     GeneratorName,
     MonoidFamily,
     PartialInjection,
+    _unchecked,
     build_generators,
     enumerate_monoid,
+    right_action,
 )
 
 
@@ -66,6 +68,7 @@ class RennerMonoid:
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
+        self._actions = {name: right_action(p) for name, p in self.generators.items()}
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
             self.fam.degree,
@@ -141,14 +144,15 @@ class RennerMonoid:
         return tuple(enumerate_monoid(self.fam, cap))
 
     def evaluate(self, word: Iterable[GeneratorName]) -> PartialInjection:
-        """Product of generator letters, word read left to right."""
-        out, gens = self.identity, self.generators
+        """Product of generator letters, word read left to right: one
+        compiled right action per letter on the image."""
+        image, actions = self.identity.image, self._actions
         try:
             for g in word:
-                out = out * gens[g]
+                image = actions[g]((None, *image))
         except KeyError as exc:
             raise ValueError(f"unknown generator {exc.args[0]}") from None
-        return out
+        return _unchecked(image)
 
     def value(self, nf: NormalForm) -> PartialInjection:
         return nf.w1 * nf.e.idem * nf.w2

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .coxeter import WeylGroup
-from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, PartialInjection
+from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, right_action
 from .monoid import RennerMonoid
 
 
@@ -253,23 +253,24 @@ def verify_completeness(
 
     Equality of all three counts (enumerated elements, triples, distinct
     triple values) pins down that evaluation is a bijection from triples to
-    the monoid.
+    the monoid.  Each w2 is compiled into its right action, so the values
+    are counted as image tuples.
     """
     elements = engine.elements(cap)
     weyl = engine.weyl
-    values: set[PartialInjection] = set()
+    values: set[tuple[int | None, ...]] = set()
     total = 0
     breakdown = []
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
         w1s = list(weyl.iter_coset_minima(tm.absorbing, "right"))
-        w2s = list(weyl.iter_coset_minima(tm.commuting, "left"))
-        breakdown.append((e.token, len(w1s), len(w2s)))
-        total += len(w1s) * len(w2s)
+        w2_actions = list(map(right_action, weyl.iter_coset_minima(tm.commuting, "left")))
+        breakdown.append((e.token, len(w1s), len(w2_actions)))
+        total += len(w1s) * len(w2_actions)
         for w1 in w1s:
-            prefix = w1 * e.idem
-            values.update(prefix * w2 for w2 in w2s)
-    missing = sum(1 for x in elements if x not in values)
+            padded = (None, *(w1 * e.idem).image)
+            values.update([act(padded) for act in w2_actions])
+    missing = sum(1 for x in elements if x.image not in values)
     return CompletenessReport(
         engine.fam.family,
         engine.fam.rank,

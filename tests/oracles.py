@@ -10,7 +10,10 @@ check the corresponding engine path.  The one exception is
 import functools
 import heapq
 import itertools
+from collections import deque
 from math import comb, factorial
+
+from rennermonoids import PartialInjection, build_generators
 
 
 def rook_monoid_size(n: int) -> int:
@@ -21,6 +24,24 @@ def rook_monoid_size(n: int) -> int:
 def weyl_order(family: str, rank: int) -> int:
     """Order of the unit group in closed form: n!, 2^n n! or 2^(n-1) n! at rank n."""
     return factorial(rank) << {"A": 0, "B": rank, "D": rank - 1}[family]
+
+
+def product_closure(fam):
+    """Breadth-first closure of the generators under `PartialInjection`
+    products, unit included, in insertion order: the reference for
+    `enumerate_monoid`, which walks the same closure on compiled actions."""
+    gens = list(build_generators(fam).values())
+    unit = PartialInjection.identity(fam.degree)
+    seen = {unit: None}
+    queue = deque([unit])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen[y] = None
+                queue.append(y)
+    return list(seen)
 
 
 def cheapest_word_costs(engine) -> dict:

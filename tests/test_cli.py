@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rennermonoids import GeneratorName
+from rennermonoids import GeneratorName, RennerMonoid
 from rennermonoids.cli import WordParseError, main, parse_word
 from oracles import weyl_order
 
@@ -163,6 +163,27 @@ def test_out_of_range_index_exit_code(capsys):
     code, out, err = run(capsys, "--family", "B", "--rank", "2", "len", "s" + "9" * 5000)
     assert code == 2
     assert "unknown generator s999" in err
+
+
+def test_failed_internal_check_exits_4_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(RennerMonoid, "value", lambda self, nf: self.identity)
+    code, out, err = run(capsys, "--family", "A", "--rank", "2", "nf", "s1 e1")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal check failed: normal decomposition does not reproduce its input\n"
+    )
+    assert "Traceback" not in err
+
+
+def test_failed_build_check_exits_4(capsys, monkeypatch):
+    import rennermonoids.coxeter as coxeter
+
+    monkeypatch.setattr(
+        coxeter.WeylGroup, "min_coset_rep", lambda self, w, gens, side: self.identity
+    )
+    code, out, err = run(capsys, "--family", "A", "--rank", "3", "len", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal check failed: w2^-1 does not carry dom(")
 
 
 def test_oversized_enumeration_refused_before_enumerating(capsys, monkeypatch):

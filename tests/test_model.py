@@ -11,7 +11,8 @@ from rennermonoids import (
     build_generators,
     enumerate_monoid,
 )
-from oracles import rook_monoid_size, weyl_order
+from rennermonoids.model import right_action
+from oracles import product_closure, rook_monoid_size, weyl_order
 
 S, E, F = GeneratorName.s, GeneratorName.e, GeneratorName.f
 
@@ -166,6 +167,29 @@ def test_rook_sizes_match_counting_oracle(family, rank, size):
 def test_enumeration_is_deterministic():
     fam = MonoidFamily("B", 2)
     assert enumerate_monoid(fam) == enumerate_monoid(fam)
+
+
+CLOSURE_RANKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)
+]
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_RANKS)
+def test_enumeration_order_matches_the_product_closure(family, rank):
+    fam = MonoidFamily(family, rank)
+    got = enumerate_monoid(fam)
+    assert [x.image for x in got] == [x.image for x in product_closure(fam)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("D", 3)])
+def test_right_action_is_right_multiplication(family, rank):
+    fam = MonoidFamily(family, rank)
+    gens = list(build_generators(fam).values())
+    actions = [right_action(g) for g in gens]
+    for x in product_closure(fam):
+        padded = (None, *x.image)
+        for g, act in zip(gens, actions):
+            assert act(padded) == (x * g).image
 
 
 def test_enumeration_cap_error_names_cap():

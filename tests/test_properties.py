@@ -1,9 +1,12 @@
 """Seeded, bounded property tests on random words at ranks beyond exhaustive reach."""
 
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rennermonoids import GeneratorName, rewrite_to_normal
+from rennermonoids import GeneratorName, PartialInjection, rewrite_to_normal
 
 RANKS = [("A", 6), ("B", 4), ("D", 5)]
 
@@ -21,6 +24,24 @@ def random_word(data, eng):
     ).map(lambda parts: [g for part in parts for g in part])
     anything = st.lists(st.sampled_from(eng.alphabet), max_size=12)
     return data.draw(st.one_of(sandwich, anything))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), *RANKS])
+@bounded
+@given(data=st.data())
+def test_evaluate_agrees_with_the_checked_product(engine, family, rank, data):
+    eng = engine(family, rank)
+    if any(g.kind == "s" for g in eng.alphabet):
+        word = random_word(data, eng)
+    else:  # A1 has no reflection letters
+        word = data.draw(st.lists(st.sampled_from(eng.alphabet), max_size=12))
+    for w in (word, []):
+        product = functools.reduce(operator.mul, map(eng.generator, w), eng.identity)
+        checked = PartialInjection(product.image)
+        got = eng.evaluate(w)
+        assert got == checked and hash(got) == hash(checked)
+    with pytest.raises(ValueError, match="unknown generator s99"):
+        eng.evaluate([*word, GeneratorName.s(99)])
 
 
 def decomposed(data, eng):
