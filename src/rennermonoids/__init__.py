@@ -29,7 +29,6 @@ from .presentation import (
     generate_full,
     generate_reduced,
     relation_lines,
-    rewrite_to_normal,
     verify_completeness,
     verify_relations,
     word_str,
@@ -62,7 +61,6 @@ __all__ = [
     "generate_full",
     "generate_reduced",
     "relation_lines",
-    "rewrite_to_normal",
     "verify_completeness",
     "verify_relations",
     "word_str",

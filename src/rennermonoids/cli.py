@@ -1,9 +1,11 @@
 """Command line interface: normal forms, lengths, presentations, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration cap exceeded or unit group too large to build, 4 an internal
-consistency check of the engine failed (a RuntimeError from a build-time
-or per-call self-check, reported as "error: internal check failed: ...").
+3 enumeration cap exceeded, unit group too large to build, or out of memory
+("error: out of memory: ..."), 4 an internal consistency check of the engine
+failed (a RuntimeError from a build-time or per-call self-check, reported as
+"error: internal check failed: ..."), 141 (128 + SIGPIPE) the reader of
+stdout closed it before the output was written.
 All diagnostics go to stderr; with --json the payload on stdout is a
 single compact JSON object with family, rank, command, result.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -33,6 +36,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 _TOKEN = re.compile(r"[sef][0-9]+")
 
@@ -278,16 +282,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.json:
-        payload = {
-            "family": args.family,
-            "rank": args.rank,
-            "command": args.command,
-            "result": result,
-        }
-        print(json.dumps(payload, separators=(",", ":")), file=sys.stdout)
-    else:
-        _print_text(args.command, result, sys.stdout)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CAP
+    try:
+        if args.json:
+            head = {"family": args.family, "rank": args.rank, "command": args.command}
+            print(json.dumps({**head, "result": result}, separators=(",", ":")))
+        else:
+            _print_text(args.command, result, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return code
 
 

@@ -115,13 +115,6 @@ class WeylGroup:
     def right_descents(self, w: PartialInjection) -> frozenset[int]:
         return _indices(self._desc["right"][self._at(w)])
 
-    def evaluate(self, word: Iterable[int]) -> PartialInjection:
-        """Product of simple reflections, word read left to right."""
-        out = self.identity
-        for i in word:
-            out = out * self.s(i)
-        return out
-
     def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""
         desc, step = self._desc["left"], self._step["left"]
@@ -196,7 +189,3 @@ class WeylGroup:
         desc, _ = self._side(side)
         m = _mask(I)
         return compress(self.elements, [not d & m for d in desc])
-
-    def coset_minima(self, I: Iterable[int], side: str = "right") -> frozenset:
-        """All w minimal in w * W_I or W_I * w (side "left"), as a set."""
-        return frozenset(self.iter_coset_minima(I, side))

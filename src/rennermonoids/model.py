@@ -64,12 +64,6 @@ class MonoidFamily:
                 break
         return order
 
-    @property
-    def coxeter_indices(self) -> range:
-        """Indices of the simple reflections s_1, ..., s_k."""
-        k = self.rank - 1 if self.family == "A" else self.rank
-        return range(1, k + 1)
-
 
 @dataclass(frozen=True, order=True)
 class GeneratorName:
@@ -142,36 +136,18 @@ class PartialInjection:
                 img[v - 1] = j
         return _unchecked(tuple(img))
 
-    @property
-    def rank(self) -> int:
-        return sum(v is not None for v in self.image)
-
     def domain(self) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.image, start=1) if v is not None)
-
-    def is_permutation(self) -> bool:
-        return self.rank == self.degree
-
-    def is_idempotent(self) -> bool:
-        return self * self == self
 
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
-    def empty(cls, n: int) -> "PartialInjection":
-        return cls((None,) * n)
-
-    @classmethod
     def restriction(cls, n: int, points: Iterable[int]) -> "PartialInjection":
         """Identity restricted to ``points``."""
         pts = set(points)
         return cls(tuple(j if j in pts else None for j in range(1, n + 1)))
-
-    @classmethod
-    def from_map(cls, n: int, mapping: dict[int, int]) -> "PartialInjection":
-        return cls(tuple(mapping.get(j) for j in range(1, n + 1)))
 
     @classmethod
     def transpositions(cls, n: int, *pairs: tuple[int, int]) -> "PartialInjection":
@@ -210,7 +186,7 @@ def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]
     l = fam.rank
     gens: dict[GeneratorName, PartialInjection] = {}
     if fam.family == "A":
-        for i in fam.coxeter_indices:
+        for i in range(1, l):
             gens[GeneratorName.s(i)] = PartialInjection.transpositions(n, (i, i + 1))
     else:
         # Both doubled families share the signed-permutation chain s_1 .. s_{l-1}.

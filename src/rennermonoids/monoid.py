@@ -120,12 +120,6 @@ class RennerMonoid:
     def alphabet(self) -> tuple[GeneratorName, ...]:
         return tuple(self.generators)
 
-    def generator(self, name: GeneratorName) -> PartialInjection:
-        try:
-            return self.generators[name]
-        except KeyError:
-            raise ValueError(f"unknown generator {name}") from None
-
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PartialInjection, ...]:
         """All monoid elements in deterministic enumeration order.
 

@@ -280,10 +280,3 @@ def verify_completeness(
         missing,
         tuple(breakdown),
     )
-
-
-def rewrite_to_normal(
-    engine: RennerMonoid, word: Sequence[GeneratorName]
-) -> tuple[GeneratorName, ...]:
-    """Canonical word for the element the input word represents."""
-    return engine.canonical_word(engine.normal_decompose(engine.evaluate(word)))

@@ -10,6 +10,7 @@ check the corresponding engine path.  The one exception is
 import functools
 import heapq
 import itertools
+import operator
 from collections import deque
 from math import comb, factorial
 
@@ -42,6 +43,13 @@ def product_closure(fam):
                 seen[y] = None
                 queue.append(y)
     return list(seen)
+
+
+def reflection_product(weyl, word):
+    """Product of the simple reflections s_i, i in ``word``, read left to
+    right: a fold of `PartialInjection` products, the reference for
+    `WeylGroup.reduced_word`."""
+    return functools.reduce(operator.mul, (weyl.s(i) for i in word), weyl.identity)
 
 
 def cheapest_word_costs(engine) -> dict:

@@ -23,7 +23,7 @@ from rennermonoids import (
     verify_relations,
 )
 from rennermonoids.cli import main, parse_word
-from oracles import cheapest_word_costs, rook_monoid_size
+from oracles import cheapest_word_costs, reflection_product, rook_monoid_size
 from test_lattice import expected_type_map
 from test_presentation import GOLDEN
 
@@ -106,7 +106,7 @@ def test_criterion_5_length_property_suite(engine, elements):
         right_absorbing, nonabsorbing = {}, {}
         for e in lat.elements:
             tm = lat.type_map(e)
-            right_absorbing[e.token] = weyl.coset_minima(tm.absorbing, "right")
+            right_absorbing[e.token] = frozenset(weyl.iter_coset_minima(tm.absorbing, "right"))
             nonabsorbing[e.token] = weyl.parabolic(tm.nonabsorbing)
         els = elements(family, rank)
         lens = {x: eng.length_of_element(x) for x in els}
@@ -164,7 +164,7 @@ def test_criterion_6_meet_under_contract(engine):
                     h = eng.meet_under(e, w, f)
                     prod = e.idem * w * f.idem
                     ok = (
-                        prod.is_idempotent()
+                        prod * prod == prod
                         and lat.by_idem(prod) is h
                         and h.idem * w == h.idem == w * h.idem
                         and w in absorbing[h.token]
@@ -206,7 +206,7 @@ def test_criterion_7_table_snapshots(engine):
                     want = {
                         weyl.identity,
                         weyl.s(rank),
-                        weyl.evaluate([rank, rank - 1, rank]),
+                        reflection_product(weyl, [rank, rank - 1, rank]),
                     }
                 else:
                     want = {weyl.identity, weyl.s(int(e.token[1:]))}
@@ -220,8 +220,8 @@ def test_criterion_7_table_snapshots(engine):
         ("e2", "e2"): {weyl_d.identity},
         ("e3", "e3"): {weyl_d.identity, weyl_d.s(3)},
         ("f3", "f3"): {weyl_d.identity, weyl_d.s(2)},
-        ("e3", "f3"): {weyl_d.identity, weyl_d.evaluate([3, 1, 2])},
-        ("f3", "e3"): {weyl_d.identity, weyl_d.evaluate([2, 1, 3])},
+        ("e3", "f3"): {weyl_d.identity, reflection_product(weyl_d, [3, 1, 2])},
+        ("f3", "e3"): {weyl_d.identity, reflection_product(weyl_d, [2, 1, 3])},
     }
     for (a, b), want in d_expect.items():
         if inter(a, b) != frozenset(want):

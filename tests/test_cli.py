@@ -249,3 +249,38 @@ def test_huge_rank_refused_without_its_factorial(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "limit" in err
+
+
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    def exhausted(self, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(RennerMonoid, "elements", exhausted)
+    code, out, err = run(capsys, "--family", "A", "--rank", "3", "enumerate")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: allocation failed\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_closed_output_pipe_exits_141_without_traceback(mode):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["--family", "B", "--rank", "4", *mode, "enumerate", "--words"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "rennermonoids.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        # Read less than a line (the JSON payload is one line); the output,
+        # about 0.6 MB, outgrows the pipe, so the writer is still writing
+        # when the reader goes away.
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import brute_coset_minima, brute_up_minima
+from oracles import brute_coset_minima, brute_up_minima, reflection_product
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -55,8 +55,8 @@ def test_order_is_partial_order_with_unit_top_zero_bottom(engine, family, rank):
     els = lat.elements
     for a in els:
         assert lat.leq(a, a)
-        assert lat.leq(lat.zero, a)
-        assert lat.leq(a, lat.unit)
+        assert lat.leq(lat.by_token("e0"), a)
+        assert lat.leq(a, lat.by_token("1"))
     for a, b in itertools.permutations(els, 2):
         if lat.leq(a, b) and lat.leq(b, a):
             assert a == b
@@ -86,7 +86,7 @@ def test_meet_examples(engine):
     lat_d = engine("D", 3).lattice
     assert lat_d.meet(lat_d.by_token("e3"), lat_d.by_token("f3")).token == "e2"
     for e in lat_d.elements:
-        assert lat_d.meet(e, lat_d.unit) == e
+        assert lat_d.meet(e, lat_d.by_token("1")) == e
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -131,6 +131,34 @@ def test_centralizer_is_direct_product(engine, family, rank):
                 assert p * q == q * p
 
 
+def _lattice_with_type_map(engine, monkeypatch, mutant):
+    """Build the A4 lattice (reflections s1, s2, s3) with every type map
+    replaced by ``mutant``."""
+    import rennermonoids.lattice as lattice
+
+    eng = engine("A", 4)
+    monkeypatch.setattr(lattice, "TypeMap", lambda *sets: mutant)
+    return lattice.CrossSectionLattice(eng.fam, eng.generators, eng.weyl)
+
+
+def test_noncommuting_factors_are_refused(engine, monkeypatch):
+    from rennermonoids import TypeMap
+
+    # |W_{1,3}| = 4 = |W_1| * |W_2| passes the count, but s1 s2 != s2 s1.
+    mutant = TypeMap(frozenset({1, 3}), frozenset({1}), frozenset({2}))
+    with pytest.raises(RuntimeError, match="do not commute elementwise"):
+        _lattice_with_type_map(engine, monkeypatch, mutant)
+
+
+def test_oversized_centralizer_is_refused(engine, monkeypatch):
+    from rennermonoids import TypeMap
+
+    # s1 and s3 commute, but |W_{1,2,3}| = 24 > |W_1| * |W_3| = 4.
+    mutant = TypeMap(frozenset({1, 2, 3}), frozenset({1}), frozenset({3}))
+    with pytest.raises(RuntimeError, match="is not a direct product"):
+        _lattice_with_type_map(engine, monkeypatch, mutant)
+
+
 def test_parabolic_examples(engine):
     eng2 = engine("A", 2)
     tm = eng2.lattice.type_map(eng2.lattice.by_token("e1"))
@@ -138,7 +166,7 @@ def test_parabolic_examples(engine):
     eng3 = engine("A", 3)
     lat3, weyl3 = eng3.lattice, eng3.weyl
     tm1 = lat3.type_map(lat3.by_token("e1"))
-    tm_unit = lat3.type_map(lat3.unit)
+    tm_unit = lat3.type_map(lat3.by_token("1"))
     expected = frozenset({weyl3.identity, weyl3.s(2)})
     assert weyl3.parabolic(tm1.commuting) == expected
     assert weyl3.parabolic(tm1.absorbing) == expected
@@ -151,13 +179,13 @@ def test_coset_minima_examples(engine):
     lat, weyl = eng.lattice, eng.weyl
     all_w = frozenset(weyl.elements)
     one = frozenset({weyl.identity})
-    unit, e1, e0 = (lat.type_map(e) for e in (lat.unit, lat.by_token("e1"), lat.zero))
-    assert weyl.coset_minima(unit.commuting, "left") == one
-    assert weyl.coset_minima(unit.absorbing, "right") == all_w
-    assert weyl.coset_minima(e1.absorbing, "right") == all_w
-    assert weyl.coset_minima(e1.commuting, "left") == all_w
-    assert weyl.coset_minima(e0.absorbing, "right") == one
-    assert weyl.coset_minima(e0.commuting, "left") == one
+    unit, e1, e0 = (lat.type_map(lat.by_token(t)) for t in ("1", "e1", "e0"))
+    assert frozenset(weyl.iter_coset_minima(unit.commuting, "left")) == one
+    assert frozenset(weyl.iter_coset_minima(unit.absorbing, "right")) == all_w
+    assert frozenset(weyl.iter_coset_minima(e1.absorbing, "right")) == all_w
+    assert frozenset(weyl.iter_coset_minima(e1.commuting, "left")) == all_w
+    assert frozenset(weyl.iter_coset_minima(e0.absorbing, "right")) == one
+    assert frozenset(weyl.iter_coset_minima(e0.commuting, "left")) == one
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -166,10 +194,10 @@ def test_coset_minima_definition(engine, family, rank):
     lat, weyl = eng.lattice, eng.weyl
     for e in lat.elements:
         tm = lat.type_map(e)
-        right = weyl.coset_minima(tm.commuting, "right")
-        left = weyl.coset_minima(tm.commuting, "left")
-        right_absorbing = weyl.coset_minima(tm.absorbing, "right")
-        left_absorbing = weyl.coset_minima(tm.absorbing, "left")
+        right = frozenset(weyl.iter_coset_minima(tm.commuting, "right"))
+        left = frozenset(weyl.iter_coset_minima(tm.commuting, "left"))
+        right_absorbing = frozenset(weyl.iter_coset_minima(tm.absorbing, "right"))
+        left_absorbing = frozenset(weyl.iter_coset_minima(tm.absorbing, "left"))
         for w in weyl:
             assert (w in right) == (not (weyl.right_descents(w) & tm.commuting))
             assert (w in left) == (not (weyl.left_descents(w) & tm.commuting))
@@ -215,9 +243,9 @@ def test_up_minima_symplectic(engine, rank):
     lat, weyl = eng.lattice, eng.weyl
     top = lat.by_token(f"e{rank}")
     both = eng.reduced_join_domain(top, top)
-    expected = {weyl.identity, weyl.s(rank), weyl.evaluate([rank, rank - 1, rank])}
+    expected = {weyl.identity, weyl.s(rank), reflection_product(weyl, [rank, rank - 1, rank])}
     if rank == 3:
-        expected.add(weyl.evaluate([3, 2, 1, 3, 2, 3]))
+        expected.add(reflection_product(weyl, [3, 2, 1, 3, 2, 3]))
     assert both == frozenset(expected)
     assert sorted(weyl.length(w) for w in both) == [
         k * (k + 1) // 2 for k in range(rank + 1)
@@ -236,8 +264,8 @@ def test_up_minima_even_orthogonal(engine):
     assert inter(e2, e2) == frozenset({weyl.identity})
     assert inter(e3, e3) == frozenset({weyl.identity, weyl.s(3)})
     assert inter(f3, f3) == frozenset({weyl.identity, weyl.s(2)})
-    assert inter(e3, f3) == frozenset({weyl.identity, weyl.evaluate([3, 1, 2])})
-    assert inter(f3, e3) == frozenset({weyl.identity, weyl.evaluate([2, 1, 3])})
+    assert inter(e3, f3) == frozenset({weyl.identity, reflection_product(weyl, [3, 1, 2])})
+    assert inter(f3, e3) == frozenset({weyl.identity, reflection_product(weyl, [2, 1, 3])})
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -263,8 +291,8 @@ def test_subgroup_membership_of_low_coset_minima(engine, family, rank):
             if not lat.leq(h, e):
                 continue
             com = lat.type_map(e).commuting
-            assert wh & weyl.coset_minima(com, "left") <= absorbing
-            assert wh & weyl.coset_minima(com, "right") <= absorbing
+            assert wh & frozenset(weyl.iter_coset_minima(com, "left")) <= absorbing
+            assert wh & frozenset(weyl.iter_coset_minima(com, "right")) <= absorbing
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -287,7 +315,7 @@ def test_lattice_is_a_transversal_of_idempotent_orbits(
     }
     for a, b in itertools.combinations(lat.elements, 2):
         assert not (orbit[a.token] & orbit[b.token])
-    idempotents = {x for x in elements(family, rank) if x.is_idempotent()}
+    idempotents = {x for x in elements(family, rank) if x * x == x}
     covered = set().union(*orbit.values())
     assert idempotents == covered
     for x in idempotents:

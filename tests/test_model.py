@@ -59,8 +59,6 @@ def test_partial_injection_validation():
 def test_public_construction_still_validates(image):
     with pytest.raises(ValueError, match="repeated|out of range"):
         PartialInjection(image)
-    with pytest.raises(ValueError):
-        PartialInjection.from_map(len(image), dict(enumerate(image, start=1)))
 
 
 @st.composite
@@ -97,7 +95,7 @@ def test_generators_rook_rank3():
     gens = build_generators(MonoidFamily("A", 3))
     assert gens[S(1)] == PartialInjection.transpositions(3, (1, 2))
     assert gens[S(2)] == PartialInjection.transpositions(3, (2, 3))
-    assert gens[E(0)] == PartialInjection.empty(3)
+    assert gens[E(0)] == PartialInjection((None,) * 3)
     assert gens[E(1)] == PartialInjection.restriction(3, [1])
     assert gens[E(2)] == PartialInjection.restriction(3, [1, 2])
     # the unit e_3 is not a listed generator
@@ -115,7 +113,7 @@ def test_generators_even_orthogonal_rank3():
     gens = build_generators(MonoidFamily("D", 3))
     assert gens[S(3)] == PartialInjection.transpositions(6, (2, 4), (3, 5))
     assert gens[F(3)] == PartialInjection.restriction(6, [1, 2, 4])
-    assert gens[F(3)].rank == 3
+    assert len(gens[F(3)].domain()) == 3
     assert set(gens) == {S(1), S(2), S(3), E(0), E(1), E(2), E(3), F(3)}
 
 
@@ -129,16 +127,14 @@ def test_generator_images_are_injective(family, rank):
 def test_compose_matches_matrix_product():
     s1 = PartialInjection.transpositions(2, (1, 2))
     e1 = PartialInjection.restriction(2, [1])
-    e0 = PartialInjection.empty(2)
+    e0 = PartialInjection((None,) * 2)
     assert s1 * s1 == PartialInjection.identity(2)
-    assert e1 * s1 == PartialInjection.from_map(2, {2: 1})
+    assert e1 * s1 == PartialInjection((None, 1))
     assert e1 * e0 == e0
 
 
 def test_inverse_examples():
-    assert PartialInjection.from_map(2, {2: 1}).inverse() == PartialInjection.from_map(
-        2, {1: 2}
-    )
+    assert PartialInjection((None, 1)).inverse() == PartialInjection((2, None))
     s1 = PartialInjection.transpositions(2, (1, 2))
     assert s1.inverse() == s1
     e1 = PartialInjection.restriction(2, [1])
@@ -148,10 +144,10 @@ def test_inverse_examples():
 def test_rank_examples():
     gens = build_generators(MonoidFamily("A", 3))
     for j in range(3):
-        assert gens[E(j)].rank == j
-    assert gens[S(1)].rank == 3
+        assert len(gens[E(j)].domain()) == j
+    assert len(gens[S(1)].domain()) == 3
     gens_d = build_generators(MonoidFamily("D", 3))
-    assert gens_d[F(3)].rank == 3
+    assert len(gens_d[F(3)].domain()) == 3
 
 
 @pytest.mark.parametrize(

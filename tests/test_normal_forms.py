@@ -6,7 +6,7 @@ from rennermonoids import (
     OutsideMonoidError,
     PartialInjection,
 )
-from oracles import brute_normal_decompose, cheapest_word_costs
+from oracles import brute_normal_decompose, cheapest_word_costs, reflection_product
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 ORACLE_RANKS = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
@@ -16,8 +16,8 @@ def all_normal_forms(eng):
     """Admissible triples enumerated straight from the coset minima."""
     for e in eng.lattice.elements:
         tm = eng.lattice.type_map(e)
-        for w1 in eng.weyl.coset_minima(tm.absorbing, "right"):
-            for w2 in eng.weyl.coset_minima(tm.commuting, "left"):
+        for w1 in eng.weyl.iter_coset_minima(tm.absorbing, "right"):
+            for w2 in eng.weyl.iter_coset_minima(tm.commuting, "left"):
                 yield NormalForm(w1, e, w2)
 
 
@@ -25,10 +25,10 @@ def test_decompose_examples_rook_rank2(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
     assert eng.normal_decompose(eng.identity) == NormalForm(
-        weyl.identity, lat.unit, weyl.identity
+        weyl.identity, lat.by_token("1"), weyl.identity
     )
     e1, s1 = lat.by_token("e1"), weyl.s(1)
-    x = PartialInjection.from_map(2, {2: 1})
+    x = PartialInjection((None, 1))
     assert x == eng.generators[GeneratorName.e(1)] * s1
     assert eng.normal_decompose(x) == NormalForm(weyl.identity, e1, s1)
     y = PartialInjection.restriction(2, [2])
@@ -39,7 +39,7 @@ def test_decompose_rejects_outsiders(engine):
     eng = engine("B", 2)
     # 1 -> 1 fixed while 2 -> 4 breaks the signed pairing, so no unit-group
     # permutation extends this map
-    x = PartialInjection.from_map(4, {1: 1, 2: 4})
+    x = PartialInjection((1, 4, None, None))
     with pytest.raises(OutsideMonoidError):
         eng.normal_decompose(x)
     with pytest.raises(OutsideMonoidError):
@@ -50,7 +50,7 @@ def test_decompose_rejects_map_no_unit_extends(engine):
     eng = engine("B", 3)
     # dom {1, 2} is the domain of e2, but 1 -> 1 and 2 -> 6 would force
     # 5 -> 7 - 6 = 1 as well: no signed permutation extends the map
-    x = PartialInjection.from_map(6, {1: 1, 2: 6})
+    x = PartialInjection((1, 6, None, None, None, None))
     assert eng.normal_decompose(PartialInjection.restriction(6, [1, 2])).e.token == "e2"
     assert brute_normal_decompose(eng, x) is None
     with pytest.raises(OutsideMonoidError):
@@ -66,7 +66,7 @@ def test_even_orthogonal_engine_refuses_the_rest_of_the_symplectic_monoid(
     inside = set(elements("D", 4))
     outside = [x for x in elements("B", 4) if x not in inside]
     assert len(outside) == 3264
-    assert sum(x.is_permutation() for x in outside) == 192
+    assert sum(None not in x.image for x in outside) == 192
     for x in outside:
         with pytest.raises(OutsideMonoidError):
             eng.normal_decompose(x)
@@ -104,8 +104,8 @@ def test_membership_invariants_of_decomposition(engine, elements, family, rank):
     for x in elements(family, rank):
         nf = eng.normal_decompose(x)
         tm = eng.lattice.type_map(nf.e)
-        assert nf.w1 in eng.weyl.coset_minima(tm.absorbing, "right")
-        assert nf.w2 in eng.weyl.coset_minima(tm.commuting, "left")
+        assert nf.w1 in frozenset(eng.weyl.iter_coset_minima(tm.absorbing, "right"))
+        assert nf.w2 in frozenset(eng.weyl.iter_coset_minima(tm.commuting, "left"))
         assert eng.value(nf) == x
 
 
@@ -116,7 +116,7 @@ def test_multiply_examples(engine):
     a = NormalForm(weyl.identity, lat.by_token("e1"), weyl.s(1))
     assert eng.multiply(a, unit_nf) == a
     assert eng.multiply(unit_nf, a) == a
-    zero_nf = NormalForm(weyl.identity, lat.zero, weyl.identity)
+    zero_nf = NormalForm(weyl.identity, lat.by_token("e0"), weyl.identity)
     assert eng.multiply(a, a) == zero_nf
 
 
@@ -139,7 +139,7 @@ def test_sandwich_relation_pattern(engine, family, rank, imax):
 def test_length_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    assert eng.length(NormalForm(weyl.identity, lat.zero, weyl.identity)) == 0
+    assert eng.length(NormalForm(weyl.identity, lat.by_token("e0"), weyl.identity)) == 0
     assert eng.length(NormalForm(weyl.s(1), lat.by_token("e1"), weyl.s(1))) == 2
     for w in weyl:
         assert eng.length_of_element(w) == weyl.length(w)
@@ -166,11 +166,11 @@ def test_meet_under_examples(engine):
     eng_b = engine("B", 2)
     lat_b, weyl_b = eng_b.lattice, eng_b.weyl
     e2 = lat_b.by_token("e2")
-    assert eng_b.meet_under(e2, weyl_b.evaluate([2, 1, 2]), e2).token == "e0"
+    assert eng_b.meet_under(e2, reflection_product(weyl_b, [2, 1, 2]), e2).token == "e0"
     eng_d = engine("D", 3)
     lat_d, weyl_d = eng_d.lattice, eng_d.weyl
     got = eng_d.meet_under(
-        lat_d.by_token("e3"), weyl_d.evaluate([3, 1, 2]), lat_d.by_token("f3")
+        lat_d.by_token("e3"), reflection_product(weyl_d, [3, 1, 2]), lat_d.by_token("f3")
     )
     assert got.token == "e0"
     for e in lat_d.elements:
@@ -182,8 +182,6 @@ def test_evaluate_rejects_unknown_generators(engine):
     eng = engine("B", 2)
     with pytest.raises(ValueError, match="unknown generator e9"):
         eng.evaluate([GeneratorName.s(1), GeneratorName.e(9)])
-    with pytest.raises(ValueError, match="unknown generator e9"):
-        eng.generator(GeneratorName.e(9))
 
 
 def test_queries_leave_the_engine_as_built():
@@ -224,7 +222,7 @@ def test_meet_under_contract(engine, family, rank):
             for w in eng.meet_under_domain(e, f):
                 h = eng.meet_under(e, w, f)
                 prod = e.idem * w * f.idem
-                assert prod.is_idempotent()
+                assert prod * prod == prod
                 assert prod == h.idem
                 assert h.idem * w == h.idem == w * h.idem
                 assert w in eng.weyl.parabolic(lat.type_map(h).absorbing)
@@ -235,7 +233,7 @@ def test_left_mult_examples(engine):
     eng2 = engine("A", 2)
     unit_nf = eng2.normal_decompose(eng2.identity)
     assert eng2.left_mult_generator(1, unit_nf) == NormalForm(
-        eng2.weyl.s(1), eng2.lattice.unit, eng2.weyl.identity
+        eng2.weyl.s(1), eng2.lattice.by_token("1"), eng2.weyl.identity
     )
     a = NormalForm(eng2.weyl.identity, eng2.lattice.by_token("e1"), eng2.weyl.s(1))
     assert eng2.left_mult_generator(1, a) == NormalForm(
@@ -252,7 +250,7 @@ def test_left_mult_dichotomy_agrees_with_multiply(engine, elements, family, rank
     for x in elements(family, rank):
         nf = eng.normal_decompose(x)
         absorbing = eng.lattice.type_map(nf.e).absorbing
-        right_absorbing = eng.weyl.coset_minima(absorbing, "right")
+        right_absorbing = frozenset(eng.weyl.iter_coset_minima(absorbing, "right"))
         for i in eng.weyl.s_indices:
             fast = eng.left_mult_generator(i, nf)
             slow = eng.normal_decompose(eng.weyl.s(i) * x)

@@ -6,7 +6,8 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rennermonoids import GeneratorName, PartialInjection, rewrite_to_normal
+from rennermonoids import GeneratorName, PartialInjection
+from test_presentation import rewrite
 
 RANKS = [("A", 6), ("B", 4), ("D", 5)]
 
@@ -36,7 +37,7 @@ def test_evaluate_agrees_with_the_checked_product(engine, family, rank, data):
     else:  # A1 has no reflection letters
         word = data.draw(st.lists(st.sampled_from(eng.alphabet), max_size=12))
     for w in (word, []):
-        product = functools.reduce(operator.mul, map(eng.generator, w), eng.identity)
+        product = functools.reduce(operator.mul, (eng.generators[g] for g in w), eng.identity)
         checked = PartialInjection(product.image)
         got = eng.evaluate(w)
         assert got == checked and hash(got) == hash(checked)
@@ -79,7 +80,7 @@ def test_left_mult_generator_agrees_with_decomposition(engine, family, rank, dat
     i = data.draw(st.sampled_from(eng.weyl.s_indices))
     expected = eng.normal_decompose(eng.weyl.s(i) * eng.value(nf))
     assert eng.left_mult_generator(i, nf) == expected
-    assert expected == eng.multiply(eng.normal_decompose(eng.generator(GeneratorName.s(i))), nf)
+    assert expected == eng.multiply(eng.normal_decompose(eng.generators[GeneratorName.s(i)]), nf)
 
 
 @pytest.mark.parametrize("family,rank", RANKS)
@@ -113,8 +114,8 @@ def test_join_is_the_product_of_its_factors(engine, family, rank, data):
 @given(data=st.data())
 def test_rewrite_to_normal_is_idempotent(engine, family, rank, data):
     eng = engine(family, rank)
-    canon = rewrite_to_normal(eng, random_word(data, eng))
-    assert rewrite_to_normal(eng, canon) == canon
+    canon = rewrite(eng, random_word(data, eng))
+    assert rewrite(eng, canon) == canon
 
 
 @pytest.mark.parametrize("family,rank", RANKS)
@@ -127,6 +128,6 @@ def test_length_is_subadditive_and_idempotent_letters_never_raise_it(
     x, y = (eng.evaluate(random_word(data, eng)) for _ in range(2))
     lx, ly = eng.length_of_element(x), eng.length_of_element(y)
     assert eng.length_of_element(x * y) <= lx + ly
-    p = eng.generator(data.draw(st.sampled_from([g for g in eng.alphabet if g.kind != "s"])))
+    p = eng.generators[data.draw(st.sampled_from([g for g in eng.alphabet if g.kind != "s"]))]
     assert eng.length_of_element(p * x) <= lx
     assert eng.length_of_element(x * p) <= lx
