@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, GeneratorName
 from .monoid import NormalForm, OutsideMonoidError, RennerMonoid
@@ -69,14 +69,6 @@ def _nf_result(engine: RennerMonoid, nf: NormalForm) -> dict:
         "w2": [f"s{i}" for i in engine.weyl.reduced_word(nf.w2)],
         "length": engine.length(nf),
     }
-
-
-def _print_nf(result: dict, out) -> None:
-    print(f"word: {' '.join(result['word']) or '1'}", file=out)
-    print(f"w1: {' '.join(result['w1']) or '1'}", file=out)
-    print(f"e: {result['e']}", file=out)
-    print(f"w2: {' '.join(result['w2']) or '1'}", file=out)
-    print(f"length: {result['length']}", file=out)
 
 
 def _cmd_nf(engine: RennerMonoid, args) -> tuple[dict, int]:
@@ -185,38 +177,34 @@ def _cmd_typemap(engine: RennerMonoid, args) -> tuple[dict, int]:
     return {"typemaps": elems, "up_intersections": pairs}, EXIT_OK
 
 
-def _print_text(command: str, result: dict, out) -> None:
+def _text_lines(command: str, result: dict) -> Iterator[str]:
     if command in ("nf", "mul"):
-        _print_nf(result, out)
+        yield f"word: {' '.join(result['word']) or '1'}"
+        yield f"w1: {' '.join(result['w1']) or '1'}"
+        yield f"e: {result['e']}"
+        yield f"w2: {' '.join(result['w2']) or '1'}"
+        yield f"length: {result['length']}"
     elif command == "len":
-        print(f"length: {result['length']}", file=out)
+        yield f"length: {result['length']}"
     elif command == "present":
-        for line in result["lines"]:
-            print(line, file=out)
+        yield from result["lines"]
     elif command == "verify":
         for c in result["checks"]:
-            extras = " ".join(
-                f"{k}={v}" for k, v in c.items() if k not in ("name", "ok")
-            )
-            print(f"{c['name']}: {'ok' if c['ok'] else 'FAILED'} {extras}", file=out)
-        print(f"verdict: {'pass' if result['ok'] else 'fail'}", file=out)
+            extras = " ".join(f"{k}={v}" for k, v in c.items() if k not in ("name", "ok"))
+            yield f"{c['name']}: {'ok' if c['ok'] else 'FAILED'} {extras}"
+        yield f"verdict: {'pass' if result['ok'] else 'fail'}"
     elif command == "enumerate":
-        print(f"count: {result['count']}", file=out)
-        for w in result.get("words", []):
-            print(w, file=out)
+        yield f"count: {result['count']}"
+        yield from result.get("words", [])
     elif command == "typemap":
         for row in result["typemaps"]:
-            print(
+            yield (
                 f"{row['element']}: commuting={' '.join(row['commuting']) or '-'}"
                 f" absorbing={' '.join(row['absorbing']) or '-'}"
-                f" nonabsorbing={' '.join(row['nonabsorbing']) or '-'}",
-                file=out,
+                f" nonabsorbing={' '.join(row['nonabsorbing']) or '-'}"
             )
         for row in result["up_intersections"]:
-            print(
-                f"up {row['e']} {row['f']}: {', '.join(row['words'])}",
-                file=out,
-            )
+            yield f"up {row['e']} {row['f']}: {', '.join(row['words'])}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,9 +255,26 @@ _HANDLERS = {
 }
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to stdout.  An unbuffered stdout (PYTHONUNBUFFERED)
+    is a raw file whose write may take only part of the bytes when a signal
+    handler runs while it blocks on a full pipe, so loop on the count."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:  # a text stream such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[raw.write(data) :]
+    raw.flush()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 1:
+        parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     try:
         engine = RennerMonoid(args.family, args.rank)
         result, code = _HANDLERS[args.command](engine, args)
@@ -285,13 +290,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CAP
+    if args.json:
+        head = {"family": args.family, "rank": args.rank, "command": args.command}
+        text = json.dumps({**head, "result": result}, separators=(",", ":")) + "\n"
+    else:
+        text = "".join(f"{line}\n" for line in _text_lines(args.command, result))
     try:
-        if args.json:
-            head = {"family": args.family, "rank": args.rank, "command": args.command}
-            print(json.dumps({**head, "result": result}, separators=(",", ":")))
-        else:
-            _print_text(args.command, result, sys.stdout)
-        sys.stdout.flush()
+        _write_stdout(text)
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -9,7 +9,6 @@ iff no right descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -19,11 +18,6 @@ from .model import PartialInjection, _unchecked
 
 def _mask(I: Iterable[int]) -> int:
     return sum(1 << i for i in set(I))
-
-
-@lru_cache(maxsize=None)
-def _indices(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _descents(step: dict[int, list[int]], length: list[int]) -> list[int]:
@@ -38,8 +32,9 @@ class WeylGroup:
     """The group generated by the simple-reflection permutations.
 
     Elements are total PartialInjection values at the boundary and indices
-    0..|W|-1 inside (0 is the identity, then breadth-first order).
-    Immutable after construction.
+    0..|W|-1 inside (0 is the identity, then breadth-first order).  Descent
+    sets stay internal bitmasks: callers ask whether w is minimal in its
+    coset as min_coset_rep(w, I, side) == w.  Immutable after construction.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int):
@@ -108,12 +103,6 @@ class WeylGroup:
 
     def length(self, w: PartialInjection) -> int:
         return self._length[self._at(w)]
-
-    def left_descents(self, w: PartialInjection) -> frozenset[int]:
-        return _indices(self._desc["left"][self._at(w)])
-
-    def right_descents(self, w: PartialInjection) -> frozenset[int]:
-        return _indices(self._desc["right"][self._at(w)])
 
     def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""

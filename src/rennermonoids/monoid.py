@@ -55,8 +55,9 @@ class RennerMonoid:
     left-factor table of each lattice element and the conjugation table of
     domains.  Normal forms are looked up, not memoised.  Each join
     e * w * f is computed and checked when it is asked for, and the element
-    list is enumerated afresh on each call.  The engine holds no state
-    filled on use, so threads may share it freely.
+    list is enumerated afresh on each call.  Neither the engine nor any
+    module of the package holds state filled on use (no functools cache),
+    so threads may share an engine freely.
     """
 
     def __init__(self, family: str, rank: int):
@@ -233,8 +234,8 @@ class RennerMonoid:
         lat, weyl = self.lattice, self.weyl
         if (
             w not in weyl
-            or weyl.left_descents(w) & lat.type_map(e).commuting
-            or weyl.right_descents(w) & lat.type_map(f).commuting
+            or weyl.min_coset_rep(w, lat.type_map(e).commuting, "left") != w
+            or weyl.min_coset_rep(w, lat.type_map(f).commuting) != w
         ):
             raise ValueError(f"w not double-coset minimal for ({e.token}, {f.token}): {w!r}")
         h = lat.by_idem(e.idem * w * f.idem)
@@ -252,16 +253,15 @@ class RennerMonoid:
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
         """Left multiplication by s_i via the absorb-or-extend dichotomy.
 
-        Either s_i * w1 stays right-reduced modulo the absorbing parabolic
-        of e and simply replaces w1, or the product slides across w1 into a
-        letter absorbed by e and the element is unchanged.
+        With m the minimum of s_i * w1 modulo the absorbing parabolic of e,
+        either m == s_i * w1, which replaces w1, or m == w1: then s_i * w1
+        lies in w1 * W_abs(e), which e absorbs, and the element is unchanged
+        (Deodhar's lemma).
         """
-        s = self.weyl.s(i)
-        v = s * nf.w1
-        absorbing = self.lattice.type_map(nf.e).absorbing
-        if not (self.weyl.right_descents(v) & absorbing):
+        v = self.weyl.s(i) * nf.w1
+        m = self.weyl.min_coset_rep(v, self.lattice.type_map(nf.e).absorbing)
+        if m == v:
             return NormalForm(v, nf.e, nf.w2)
-        for t in sorted(absorbing):
-            if v == nf.w1 * self.weyl.s(t):
-                return nf
+        if m == nf.w1:
+            return nf
         raise RuntimeError("left-multiplication dichotomy failed")

@@ -89,6 +89,14 @@ def _subgroup(weyl, gens):
     return frozenset(members)
 
 
+def descents(weyl, w, side):
+    """The i with l(s_i * w) < l(w) (side "left") or l(w * s_i) < l(w)
+    (side "right"), from `PartialInjection` products and lengths."""
+    lw = weyl.length(w)
+    step = (lambda s: s * w) if side == "left" else (lambda s: w * s)
+    return frozenset(i for i in weyl.s_indices if weyl.length(step(weyl.s(i))) < lw)
+
+
 def brute_min_coset(weyl, w, gens, side):
     """Minimal element of w*W_I or W_I*w by enumerating the whole coset.
 

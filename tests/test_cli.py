@@ -156,6 +156,16 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap=5" in err
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cap_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "A", "--rank", "3", "--cap", cap, "verify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --cap: must be at least 1, got {cap}" in captured.err
+
+
 def test_out_of_range_index_exit_code(capsys):
     code, out, err = run(capsys, "--family", "B", "--rank", "2", "len", "e9")
     assert code == 2
@@ -284,3 +294,40 @@ def test_closed_output_pipe_exits_141_without_traceback(mode):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_json_output_is_whole_when_a_signal_interrupts_a_blocked_write():
+    # With PYTHONUNBUFFERED set, stdout is a raw file: a signal handler that
+    # runs while the write blocks on a full pipe makes write(2) return a
+    # partial count, and the rest is lost unless the writer loops on it.
+    # Text mode goes through the same writer.
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["--json", "--family", "D", "--rank", "4", "enumerate", "--words"]
+    child = "\n".join(
+        [
+            "import signal, sys",
+            "from rennermonoids.cli import main",
+            "signal.signal(signal.SIGALRM, lambda *_: None)",
+            "signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)",
+            f"code = main({argv!r})",
+            "signal.setitimer(signal.ITIMER_REAL, 0)",
+            "sys.exit(code)",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(
+        [sys.executable, "-c", child],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        time.sleep(1.5)  # the payload, about 0.4 MB, fills the pipe meanwhile
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert len(json.loads(out)["result"]["words"]) == 10625

@@ -6,6 +6,7 @@ from oracles import (
     all_subsets,
     brute_min_coset,
     brute_min_double_coset,
+    descents,
     reflection_product,
 )
 
@@ -85,13 +86,12 @@ def test_min_coset_rep_examples(engine):
 
 @pytest.mark.parametrize("family,rank", SMALL + [("D", 4)])
 def test_descents_from_products(engine, family, rank):
+    # i is a descent of w on a side iff w is not minimal in its coset by s_i
     weyl = engine(family, rank).weyl
     for w in weyl:
-        lw = weyl.length(w)
-        left = {i for i in weyl.s_indices if weyl.length(weyl.s(i) * w) < lw}
-        right = {i for i in weyl.s_indices if weyl.length(w * weyl.s(i)) < lw}
-        assert weyl.left_descents(w) == left
-        assert weyl.right_descents(w) == right
+        for side in ("left", "right"):
+            tabled = {i for i in weyl.s_indices if weyl.min_coset_rep(w, {i}, side) != w}
+            assert tabled == descents(weyl, w, side)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("D", 4)])
@@ -106,10 +106,7 @@ def test_min_coset_rep_against_brute_force(engine, family, rank):
                 p = rep.inverse() * w if side == "right" else w * rep.inverse()
                 assert weyl.in_parabolic(p, gens)
                 assert weyl.length(w) == weyl.length(rep) + weyl.length(p)
-                if side == "right":
-                    assert not (weyl.right_descents(rep) & set(gens))
-                else:
-                    assert not (weyl.left_descents(rep) & set(gens))
+                assert not (descents(weyl, rep, side) & set(gens))
 
 
 def test_double_coset_minima_examples(engine):

@@ -206,6 +206,27 @@ def test_queries_leave_the_engine_as_built():
             assert v == built[k][1], k
 
 
+def test_no_module_holds_a_functools_cache():
+    # A functools cache is state filled on use that outlives every engine.
+    import importlib
+    import pkgutil
+
+    import rennermonoids
+
+    cached = []
+    for info in pkgutil.iter_modules(rennermonoids.__path__):
+        module = importlib.import_module(f"rennermonoids.{info.name}")
+        for name, obj in vars(module).items():
+            members = [(name, obj)]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members += [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+            for label, member in members:
+                unwrapped = (getattr(member, a, None) for a in ("__func__", "fget"))
+                if any(hasattr(f, "cache_info") for f in (member, *unwrapped)):
+                    cached.append(f"{info.name}.{label}")
+    assert not cached, f"functools caches in rennermonoids: {cached}"
+
+
 def test_meet_under_rejects_non_minimal(engine):
     eng = engine("A", 3)
     e1 = eng.lattice.by_token("e1")
@@ -244,25 +265,29 @@ def test_left_mult_examples(engine):
     assert eng3.left_mult_generator(2, b) == b  # s2 is absorbed by e1
 
 
-@pytest.mark.parametrize("family,rank", SMALL)
+@pytest.mark.parametrize("family,rank", SMALL + [("A", 5), ("B", 4), ("D", 4)])
 def test_left_mult_dichotomy_agrees_with_multiply(engine, elements, family, rank):
     eng = engine(family, rank)
+    weyl, lat = eng.weyl, eng.lattice
+    absorbing = {e: lat.type_map(e).absorbing for e in lat.elements}
+    right_absorbing = {
+        e: frozenset(weyl.iter_coset_minima(absorbing[e], "right")) for e in lat.elements
+    }
     for x in elements(family, rank):
         nf = eng.normal_decompose(x)
-        absorbing = eng.lattice.type_map(nf.e).absorbing
-        right_absorbing = frozenset(eng.weyl.iter_coset_minima(absorbing, "right"))
-        for i in eng.weyl.s_indices:
+        for i in weyl.s_indices:
+            s = weyl.s(i)
             fast = eng.left_mult_generator(i, nf)
-            slow = eng.normal_decompose(eng.weyl.s(i) * x)
+            slow = eng.normal_decompose(s * x)
             assert fast == slow
             # exactly one side of the dichotomy fires
-            stays = eng.weyl.s(i) * nf.w1 in right_absorbing
-            absorbed = any(
-                eng.weyl.s(i) * nf.w1 == nf.w1 * eng.weyl.s(t) for t in absorbing
-            )
+            stays = s * nf.w1 in right_absorbing[nf.e]
+            absorbed = any(s * nf.w1 == nf.w1 * weyl.s(t) for t in absorbing[nf.e])
             assert stays != absorbed
             if absorbed:
-                assert eng.weyl.s(i) * x == x
+                assert s * x == x
+            # one step: s_i * x = x, or the length moves by exactly one
+            assert s * x == x or abs(eng.length(fast) - eng.length(nf)) == 1
 
 
 def test_solomon_delta_examples(engine):
