@@ -11,17 +11,15 @@ Families:
   D  the even special orthogonal family, matrix degree n = 2 * rank.
 
 PartialInjection is the type the package takes and returns, and its
-product is the general one.  Hot loops that multiply on the right by a
-fixed generator compile it once with `right_action` and work on image
-tuples instead.
+product is the general one.  Hot loops multiply by fixed elements on
+images as bytes instead, 0 where undefined, translating them by `byte_table`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -130,11 +128,7 @@ class PartialInjection:
 
     def inverse(self) -> "PartialInjection":
         """Reverse all arrows; the unique semigroup inverse."""
-        img: list[int | None] = [None] * self.degree
-        for j, v in enumerate(self.image, start=1):
-            if v is not None:
-                img[v - 1] = j
-        return _unchecked(tuple(img))
+        return _inverted(self.image)
 
     def domain(self) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.image, start=1) if v is not None)
@@ -175,6 +169,15 @@ def _unchecked(
     return p
 
 
+def _inverted(image: tuple[int | None, ...] | bytes) -> PartialInjection:
+    """Inverse of the injective map with this image, None or 0 where undefined."""
+    img: list[int | None] = [None] * len(image)
+    for j, v in enumerate(image, start=1):
+        if v:
+            img[v - 1] = j
+    return _unchecked(tuple(img))
+
+
 def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]:
     """Generator table: all simple reflections and all non-unit lattice idempotents.
 
@@ -208,17 +211,12 @@ def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]
     return gens
 
 
-def right_action(g: PartialInjection) -> Callable[[tuple], tuple[int | None, ...]]:
-    """Right multiplication by g, compiled once into a gather on padded images.
-
-    Applied to ``(None, *x.image)`` it returns the image of x * g: entry j is
-    x(g(j)), and index 0 of the padding reads None wherever g is undefined.
-    """
-    index = [v or 0 for v in g.image]
-    if len(index) == 1:  # itemgetter of one index returns a scalar, not a tuple
-        (i,) = index
-        return lambda padded: (padded[i],)
-    return itemgetter(*index)
+def byte_table(p: PartialInjection) -> bytes:
+    """p as a `bytes.translate` table: entry v is p(v), and entry 0 and those
+    where p is undefined are 0.  It carries the image bytes of x to p * x's."""
+    if p.degree > 255:
+        raise ValueError(f"degree {p.degree} has no byte encoding, the limit is 255")
+    return bytes([0, *[v or 0 for v in p.image]]).ljust(256, b"\0")
 
 
 def enumerate_monoid(
@@ -226,23 +224,24 @@ def enumerate_monoid(
 ) -> list[PartialInjection]:
     """Breadth-first closure of the generators under composition, unit included.
 
-    Each generator acts by its compiled `right_action` on image tuples, so
-    the closure builds no PartialInjection until it returns.  The returned
-    list is in deterministic insertion order: x before y when x was reached
-    first, and the products of one x in generator order.  Raises
-    EnumerationCapExceeded as soon as the closure would outgrow ``cap``.
+    It walks the image bytes of inverses: (x * g)^-1 = g^-1 * x^-1, so the
+    `byte_table` of g^-1 carries x's to x * g's, and inverts each element
+    once on return.  The list is in insertion order: x before y when x was
+    reached first, and the products of one x in generator order.  Raises
+    ValueError above degree 255, and EnumerationCapExceeded as soon as the
+    closure would outgrow ``cap``.
     """
-    actions = [right_action(g) for g in build_generators(fam).values()]
-    unit = tuple(range(1, fam.degree + 1))
-    seen: dict[tuple[int | None, ...], None] = {unit: None}
+    tables = [byte_table(g.inverse()) for g in build_generators(fam).values()]
+    unit = bytes(range(1, fam.degree + 1))
+    seen: dict[bytes, None] = {unit: None}
     queue = deque([unit])
     while queue:
-        padded = (None, *queue.popleft())
-        for act in actions:
-            y = act(padded)
+        inverse = queue.popleft()
+        for table in tables:
+            y = inverse.translate(table)
             if y not in seen:
                 if len(seen) >= cap:
                     raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
                 seen[y] = None
                 queue.append(y)
-    return list(map(_unchecked, seen))
+    return list(map(_inverted, seen))

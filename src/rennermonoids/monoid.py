@@ -11,6 +11,7 @@ len(w1) + len(w2) in the Coxeter sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
 from typing import Iterable
 
@@ -24,8 +25,8 @@ from .model import (
     PartialInjection,
     _unchecked,
     build_generators,
+    byte_table,
     enumerate_monoid,
-    right_action,
 )
 
 
@@ -69,7 +70,7 @@ class RennerMonoid:
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
-        self._actions = {name: right_action(p) for name, p in self.generators.items()}
+        self._tables = {name: byte_table(p) for name, p in self.generators.items()}
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
             self.fam.degree,
@@ -139,15 +140,15 @@ class RennerMonoid:
         return tuple(enumerate_monoid(self.fam, cap))
 
     def evaluate(self, word: Iterable[GeneratorName]) -> PartialInjection:
-        """Product of generator letters, word read left to right: one
-        compiled right action per letter on the image."""
-        image, actions = self.identity.image, self._actions
+        """Product of generator letters, word read left to right: the letters'
+        byte tables, looked up left to right so that the leftmost unknown
+        letter is named, act right to left on the identity's image bytes."""
         try:
-            for g in word:
-                image = actions[g]((None, *image))
+            tables = [self._tables[g] for g in word]
         except KeyError as exc:
             raise ValueError(f"unknown generator {exc.args[0]}") from None
-        return _unchecked(image)
+        image = reduce(bytes.translate, reversed(tables), bytes(self.identity.image))
+        return _unchecked(tuple([v or None for v in image]))
 
     def value(self, nf: NormalForm) -> PartialInjection:
         return nf.w1 * nf.e.idem * nf.w2

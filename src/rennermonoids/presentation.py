@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .coxeter import WeylGroup
-from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, right_action
+from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, byte_table
 from .monoid import RennerMonoid
 
 
@@ -253,24 +253,24 @@ def verify_completeness(
 
     Equality of all three counts (enumerated elements, triples, distinct
     triple values) pins down that evaluation is a bijection from triples to
-    the monoid.  Each w2 is compiled into its right action, so the values
-    are counted as image tuples.
+    the monoid.  Values are counted as image bytes, 0 where undefined: w2's
+    translated by the `byte_table` of w1 * e.
     """
     elements = engine.elements(cap)
     weyl = engine.weyl
-    values: set[tuple[int | None, ...]] = set()
+    values: set[bytes] = set()
     total = 0
     breakdown = []
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
         w1s = list(weyl.iter_coset_minima(tm.absorbing, "right"))
-        w2_actions = list(map(right_action, weyl.iter_coset_minima(tm.commuting, "left")))
-        breakdown.append((e.token, len(w1s), len(w2_actions)))
-        total += len(w1s) * len(w2_actions)
+        w2s = [bytes(w2.image) for w2 in weyl.iter_coset_minima(tm.commuting, "left")]
+        breakdown.append((e.token, len(w1s), len(w2s)))
+        total += len(w1s) * len(w2s)
         for w1 in w1s:
-            padded = (None, *(w1 * e.idem).image)
-            values.update([act(padded) for act in w2_actions])
-    missing = sum(1 for x in elements if x.image not in values)
+            table = byte_table(w1 * e.idem)
+            values.update([w2.translate(table) for w2 in w2s])
+    missing = sum(1 for x in elements if bytes([v or 0 for v in x.image]) not in values)
     return CompletenessReport(
         engine.fam.family,
         engine.fam.rank,

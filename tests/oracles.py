@@ -30,7 +30,7 @@ def weyl_order(family: str, rank: int) -> int:
 def product_closure(fam):
     """Breadth-first closure of the generators under `PartialInjection`
     products, unit included, in insertion order: the reference for
-    `enumerate_monoid`, which walks the same closure on compiled actions."""
+    `enumerate_monoid`, which walks the same closure on byte-encoded inverses."""
     gens = list(build_generators(fam).values())
     unit = PartialInjection.identity(fam.degree)
     seen = {unit: None}

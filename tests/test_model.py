@@ -11,7 +11,7 @@ from rennermonoids import (
     build_generators,
     enumerate_monoid,
 )
-from rennermonoids.model import right_action
+from rennermonoids.model import byte_table
 from oracles import product_closure, rook_monoid_size, weyl_order
 
 S, E, F = GeneratorName.s, GeneratorName.e, GeneratorName.f
@@ -165,7 +165,7 @@ def test_enumeration_is_deterministic():
     assert enumerate_monoid(fam) == enumerate_monoid(fam)
 
 
-CLOSURE_RANKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5)] + [
+CLOSURE_RANKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6)] + [
     ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)
 ]
 
@@ -177,20 +177,30 @@ def test_enumeration_order_matches_the_product_closure(family, rank):
     assert [x.image for x in got] == [x.image for x in product_closure(fam)]
 
 
+def image_bytes(x):
+    return bytes([0 if v is None else v for v in x.image])
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("D", 3)])
-def test_right_action_is_right_multiplication(family, rank):
+def test_byte_tables_are_products(family, rank):
     fam = MonoidFamily(family, rank)
     gens = list(build_generators(fam).values())
-    actions = [right_action(g) for g in gens]
+    tables = [(byte_table(g), byte_table(g.inverse())) for g in gens]
     for x in product_closure(fam):
-        padded = (None, *x.image)
-        for g, act in zip(gens, actions):
-            assert act(padded) == (x * g).image
+        image, inverse = image_bytes(x), image_bytes(x.inverse())
+        for g, (table, inverse_table) in zip(gens, tables):
+            assert inverse.translate(inverse_table) == image_bytes((x * g).inverse())
+            assert image.translate(table) == image_bytes(g * x)
 
 
 def test_enumeration_cap_error_names_cap():
     with pytest.raises(EnumerationCapExceeded, match="cap=5"):
         enumerate_monoid(MonoidFamily("A", 3), cap=5)
+
+
+def test_degree_above_255_is_refused_before_enumerating():
+    with pytest.raises(ValueError, match="degree 256"):
+        enumerate_monoid(MonoidFamily("A", 256), cap=5)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])

@@ -184,6 +184,12 @@ def test_evaluate_rejects_unknown_generators(engine):
         eng.evaluate([GeneratorName.s(1), GeneratorName.e(9)])
 
 
+def test_evaluate_names_the_leftmost_unknown_generator(engine):
+    eng = engine("B", 2)
+    with pytest.raises(ValueError, match="unknown generator e9"):
+        eng.evaluate([GeneratorName.e(9), GeneratorName.s(1), GeneratorName.s(99)])
+
+
 def test_queries_leave_the_engine_as_built():
     from rennermonoids import RennerMonoid
 
