@@ -23,6 +23,7 @@ from .model import (
     GeneratorName,
     MonoidFamily,
     PartialInjection,
+    _inverted,
     _unchecked,
     build_generators,
     byte_table,
@@ -122,8 +123,9 @@ class RennerMonoid:
     def alphabet(self) -> tuple[GeneratorName, ...]:
         return tuple(self.generators)
 
-    def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PartialInjection, ...]:
-        """All monoid elements in deterministic enumeration order.
+    def inverse_images(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[bytes]:
+        """The image bytes of every element's inverse, 0 where undefined, in
+        `enumerate_monoid` order.
 
         Refused before enumerating if the monoid has more than ``cap``
         elements: one per normal form, so sum over e of
@@ -137,7 +139,12 @@ class RennerMonoid:
         )
         if size > cap:
             raise EnumerationCapExceeded(f"enumeration cap exceeded: {size} elements, cap={cap}")
-        return tuple(enumerate_monoid(self.fam, cap))
+        return enumerate_monoid(self.fam, cap)
+
+    def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PartialInjection, ...]:
+        """All monoid elements in deterministic enumeration order: the
+        `inverse_images`, each inverted, under the same cap."""
+        return tuple(map(_inverted, self.inverse_images(cap)))
 
     def evaluate(self, word: Iterable[GeneratorName]) -> PartialInjection:
         """Product of generator letters, word read left to right: the letters'

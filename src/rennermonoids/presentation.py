@@ -253,28 +253,30 @@ def verify_completeness(
 
     Equality of all three counts (enumerated elements, triples, distinct
     triple values) pins down that evaluation is a bijection from triples to
-    the monoid.  Values are counted as image bytes, 0 where undefined: w2's
-    translated by the `byte_table` of w1 * e.
+    the monoid.  Both sides are counted in the closure's own encoding, the
+    image bytes of inverses (`RennerMonoid.inverse_images`), so no element
+    is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes
+    translated by the `byte_table` of w2^-1 * e.
     """
-    elements = engine.elements(cap)
+    closure = engine.inverse_images(cap)
     weyl = engine.weyl
     values: set[bytes] = set()
     total = 0
     breakdown = []
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
-        w1s = list(weyl.iter_coset_minima(tm.absorbing, "right"))
-        w2s = [bytes(w2.image) for w2 in weyl.iter_coset_minima(tm.commuting, "left")]
-        breakdown.append((e.token, len(w1s), len(w2s)))
-        total += len(w1s) * len(w2s)
-        for w1 in w1s:
-            table = byte_table(w1 * e.idem)
-            values.update([w2.translate(table) for w2 in w2s])
-    missing = sum(1 for x in elements if bytes([v or 0 for v in x.image]) not in values)
+        w1_inv = [bytes(w.inverse().image) for w in weyl.iter_coset_minima(tm.absorbing, "right")]
+        w2s = list(weyl.iter_coset_minima(tm.commuting, "left"))
+        breakdown.append((e.token, len(w1_inv), len(w2s)))
+        total += len(w1_inv) * len(w2s)
+        for w2 in w2s:
+            table = byte_table(w2.inverse() * e.idem)
+            values.update([b.translate(table) for b in w1_inv])
+    missing = sum(1 for y in closure if y not in values)
     return CompletenessReport(
         engine.fam.family,
         engine.fam.rank,
-        len(elements),
+        len(closure),
         total,
         len(values),
         missing,

@@ -27,6 +27,11 @@ def weyl_order(family: str, rank: int) -> int:
     return factorial(rank) << {"A": 0, "B": rank, "D": rank - 1}[family]
 
 
+def image_bytes(x):
+    """The image of x as bytes, 0 where undefined."""
+    return bytes([v or 0 for v in x.image])
+
+
 def product_closure(fam):
     """Breadth-first closure of the generators under `PartialInjection`
     products, unit included, in insertion order: the reference for
@@ -72,6 +77,38 @@ def cheapest_word_costs(engine) -> dict:
             if nd < dist.get(y, nd + 1):
                 dist[y] = nd
                 heapq.heappush(heap, (nd, next(counter), y))
+    return dist
+
+
+def word_costs_01(fam) -> dict:
+    """Minimal word cost per element, as its image bytes (0 where undefined):
+    reflection letters cost 1, idempotents 0.
+
+    0-1 breadth-first search from the unit over left multiplication by
+    generators, which reaches every word from its right end and so gives the
+    same costs as right multiplication.  A free letter's product goes to the
+    front of the deque and a reflection's to the back.  Each generator acts
+    by its own 256-byte translate table, built here from its image.
+    """
+    moves = [
+        (bytes([0, *[v or 0 for v in p.image]]).ljust(256, b"\0"), g.kind == "s")
+        for g, p in build_generators(fam).items()
+    ]
+    unit = bytes(range(1, fam.degree + 1))
+    dist = {unit: 0}
+    queue = deque([(0, unit)])
+    while queue:
+        d, x = queue.popleft()
+        if d > dist[x]:
+            continue
+        for table, costly in moves:
+            y, nd = x.translate(table), d + costly
+            if nd < dist.get(y, nd + 1):
+                dist[y] = nd
+                if costly:
+                    queue.append((nd, y))
+                else:
+                    queue.appendleft((nd, y))
     return dist
 
 

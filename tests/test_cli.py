@@ -212,6 +212,22 @@ def test_oversized_enumeration_refused_before_enumerating(capsys, monkeypatch):
     assert "13889 elements" in err and "cap=13888" in err
 
 
+def test_oversized_verify_refused_before_enumerating(capsys, monkeypatch):
+    import rennermonoids.monoid as monoid
+
+    code, out, err = run(capsys, "--family", "B", "--rank", "4", "--cap", "13889", "verify")
+    assert code == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_monoid entered")
+
+    monkeypatch.setattr(monoid, "enumerate_monoid", never)
+    code, out, err = run(capsys, "--family", "B", "--rank", "4", "--cap", "13888", "verify")
+    assert code == 3
+    assert out == ""
+    assert "13889 elements" in err and "cap=13888" in err
+
+
 def test_oversized_rank_refused_before_any_build(capsys, monkeypatch):
     import rennermonoids.coxeter as coxeter
     import rennermonoids.monoid as monoid

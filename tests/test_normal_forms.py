@@ -6,10 +6,18 @@ from rennermonoids import (
     OutsideMonoidError,
     PartialInjection,
 )
-from oracles import brute_normal_decompose, cheapest_word_costs, reflection_product
+from oracles import (
+    brute_normal_decompose,
+    cheapest_word_costs,
+    image_bytes,
+    reflection_product,
+    word_costs_01,
+)
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 ORACLE_RANKS = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
+# Past the Dijkstra ranks; D4 is the first rank whose Coxeter type is D.
+LENGTH_RANKS = [("A", 5), ("B", 4), ("D", 4)]
 
 
 def all_normal_forms(eng):
@@ -152,6 +160,34 @@ def test_length_equals_cheapest_word_cost(engine, elements, family, rank):
     assert set(costs) == set(elements(family, rank))
     for x, c in costs.items():
         assert eng.length_of_element(x) == c
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_RANKS)
+def test_01_bfs_costs_equal_dijkstra_costs(engine, family, rank):
+    eng = engine(family, rank)
+    costs = cheapest_word_costs(eng)
+    assert word_costs_01(eng.fam) == {image_bytes(x): c for x, c in costs.items()}
+
+
+@pytest.mark.parametrize("family,rank", LENGTH_RANKS)
+def test_length_equals_01_bfs_cost(engine, elements, family, rank):
+    eng = engine(family, rank)
+    costs = word_costs_01(eng.fam)
+    els = elements(family, rank)
+    assert len(costs) == len(els)
+    for x in els:
+        assert eng.length_of_element(x) == costs[image_bytes(x)]
+
+
+@pytest.mark.parametrize("family,rank", LENGTH_RANKS)
+def test_length_ignoring_w2_disagrees_with_01_bfs_cost(
+    engine, elements, monkeypatch, family, rank
+):
+    eng = engine(family, rank)
+    costs = word_costs_01(eng.fam)
+    monkeypatch.setattr(type(eng), "length", lambda self, nf: self.weyl.length(nf.w1))
+    els = elements(family, rank)
+    assert any(eng.length_of_element(x) != costs[image_bytes(x)] for x in els)
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_RANKS)

@@ -4,7 +4,9 @@ import pytest
 
 from rennermonoids import (
     GeneratorName,
+    MonoidFamily,
     Relation,
+    build_generators,
     coxeter_pairs,
     generate_explicit,
     generate_full,
@@ -152,6 +154,30 @@ def test_completeness_counts(engine, family, rank, size):
     assert rep.ok
     assert rep.monoid_size == size
     assert rep.collisions == 0 and rep.missing == 0
+
+
+def test_completeness_counts_an_element_outside_the_triples(engine, monkeypatch):
+    """B3's s3 is an odd signed permutation, so it lies outside D3 (same
+    degree 6): a closure that also returns it has one element too many, and
+    that element is the one missing from the triples' values."""
+    import rennermonoids.monoid as monoid
+
+    closure = monoid.enumerate_monoid
+    outsider = bytes(build_generators(MonoidFamily("B", 3))[S(3)].inverse().image)
+    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: closure(*a) + [outsider])
+    rep = verify_completeness(engine("D", 3))
+    assert (rep.monoid_size, rep.triple_count, rep.value_count) == (542, 541, 541)
+    assert rep.missing == 1 and not rep.ok
+
+
+def test_completeness_counts_a_dropped_element(engine, monkeypatch):
+    import rennermonoids.monoid as monoid
+
+    closure = monoid.enumerate_monoid
+    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: closure(*a)[:-1])
+    rep = verify_completeness(engine("D", 3))
+    assert (rep.monoid_size, rep.triple_count, rep.value_count) == (540, 541, 541)
+    assert rep.missing == 0 and not rep.ok
 
 
 def test_rewrite_examples(engine):
