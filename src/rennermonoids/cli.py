@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from .model import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, GeneratorName
@@ -137,18 +138,17 @@ def _cmd_verify(engine: RennerMonoid, args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(engine: RennerMonoid, args) -> tuple[dict, int]:
+    if not args.words:
+        return {"count": len(engine.inverse_images(args.cap))}, EXIT_OK
     elements = engine.elements(args.cap)
-    result: dict = {"count": len(elements)}
-    if args.words:
-        result["words"] = [
-            word_str(engine.canonical_word(engine.normal_decompose(x))) for x in elements
-        ]
-    return result, EXIT_OK
+    words = [word_str(engine.canonical_word(engine.normal_decompose(x))) for x in elements]
+    return {"count": len(elements), "words": words}, EXIT_OK
 
 
 def _cmd_typemap(engine: RennerMonoid, args) -> tuple[dict, int]:
+    """Type maps, then each pair's up-intersections: the join words of the
+    reduced presentation, grouped by outer idempotents."""
     lat = engine.lattice
-    weyl = engine.weyl
     elems = []
     for e in lat.elements:
         tm = lat.type_map(e)
@@ -160,20 +160,11 @@ def _cmd_typemap(engine: RennerMonoid, args) -> tuple[dict, int]:
                 "nonabsorbing": [f"s{i}" for i in sorted(tm.nonabsorbing)],
             }
         )
-    pairs = []
-    for e in lat.nonunit:
-        for f in lat.nonunit:
-            words = sorted(
-                (weyl.reduced_word(w) for w in engine.reduced_join_domain(e, f)),
-                key=lambda w: (len(w), w),
-            )
-            pairs.append(
-                {
-                    "e": e.token,
-                    "f": f.token,
-                    "words": [" ".join(f"s{i}" for i in w) or "1" for w in words],
-                }
-            )
+    joins = [r for r in generate_reduced(engine).relations if r.tag == "TYM3"]
+    pairs = [
+        {"e": str(e), "f": str(f), "words": [word_str(r.lhs[1:-1]) for r in group]}
+        for (e, f), group in groupby(joins, key=lambda r: (r.lhs[0], r.lhs[-1]))
+    ]
     return {"typemaps": elems, "up_intersections": pairs}, EXIT_OK
 
 

@@ -67,8 +67,6 @@ class CrossSectionLattice:
         ]
         self.elements: tuple[LambdaElement, ...] = tuple(named + [unit])
         self.nonunit: tuple[LambdaElement, ...] = tuple(named)
-        self._position = {e.token: k for k, e in enumerate(self.elements)}
-        self._by_token = {e.token: e for e in self.elements}
         self._by_idem = {e.idem: e for e in self.elements}
 
         self._meet: dict[tuple[str, str], LambdaElement] = {}
@@ -111,20 +109,11 @@ class CrossSectionLattice:
                             f"parabolic factors of {e.token} do not commute elementwise"
                         )
 
-    def by_token(self, token: str) -> LambdaElement:
-        try:
-            return self._by_token[token]
-        except KeyError:
-            raise ValueError(f"no lattice element named {token!r}") from None
-
     def by_idem(self, x: PartialInjection) -> LambdaElement:
         e = self._by_idem.get(x)
         if e is None:
             raise RuntimeError(f"idempotent {x!r} is not in the cross-section lattice")
         return e
-
-    def position(self, e: LambdaElement) -> int:
-        return self._position[e.token]
 
     def leq(self, e: LambdaElement, f: LambdaElement) -> bool:
         return self._meet[e.token, f.token] is e

@@ -12,14 +12,16 @@ a larger monoid (at D3, f3 s1 = s1 f3 holds but does not follow from them).
 
 Relation tags: COX1 (involutions), COX2 (braid and commutation), TYM1
 (commuting idempotent moves), TYM2 (absorbed letters), TYM3 (idempotent
-joins e w f = h).
+joins e w f = h).  Every flavor lists its relations in that tag order, each
+tag built in its final order, except TYM3, which is sorted by its outer
+idempotents in lattice order, then by length, then by letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coxeter import WeylGroup
 from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, byte_table
@@ -99,35 +101,6 @@ def coxeter_pairs(weyl: WeylGroup) -> list[tuple[int, int, int]]:
     return [(i, j, weyl.coxeter_exponent(i, j)) for i, j in combinations(weyl.s_indices, 2)]
 
 
-def _sort_key(engine: RennerMonoid, rel: Relation):
-    lat = engine.lattice
-    tag_rank = ["COX1", "COX2", "TYM1", "TYM2", "TYM3"].index(rel.tag)
-    lhs_form = tuple((g.kind, g.index) for g in rel.lhs)
-    if rel.tag == "COX1":
-        return (tag_rank, rel.lhs[0].index)
-    if rel.tag == "COX2":
-        pair = sorted({g.index for g in rel.lhs})
-        return (tag_rank, pair[0], pair[-1], lhs_form)
-    if rel.tag in ("TYM1", "TYM2"):
-        e = next(g for g in rel.lhs if g.kind != "s")
-        s = next(g for g in rel.lhs if g.kind == "s")
-        return (tag_rank, lat.position(lat.by_token(str(e))), s.index, lhs_form)
-    e, f = rel.lhs[0], rel.lhs[-1]
-    mid = tuple(g.index for g in rel.lhs[1:-1])
-    return (
-        tag_rank,
-        lat.position(lat.by_token(str(e))),
-        lat.position(lat.by_token(str(f))),
-        len(mid),
-        mid,
-        lhs_form,
-    )
-
-
-def _sorted_relations(engine: RennerMonoid, rels: Iterable[Relation]) -> tuple[Relation, ...]:
-    return tuple(sorted(rels, key=lambda r: _sort_key(engine, r)))
-
-
 def _coxeter_relations(engine: RennerMonoid) -> list[Relation]:
     rels = [
         Relation((GeneratorName.s(i), GeneratorName.s(i)), (), "COX1")
@@ -139,36 +112,44 @@ def _coxeter_relations(engine: RennerMonoid) -> list[Relation]:
 
 
 def _type_relations(engine: RennerMonoid) -> list[Relation]:
-    rels = []
-    for e in engine.lattice.nonunit:
-        tm = engine.lattice.type_map(e)
-        for i in sorted(tm.nonabsorbing):
-            s = GeneratorName.s(i)
-            rels.append(Relation((s, e.name), (e.name, s), "TYM1"))
-        for i in sorted(tm.absorbing):
-            s = GeneratorName.s(i)
-            rels.append(Relation((s, e.name), (e.name,), "TYM2"))
-            rels.append(Relation((e.name, s), (e.name,), "TYM2"))
+    lat, S = engine.lattice, GeneratorName.s
+    rels = [
+        Relation((S(i), e.name), (e.name, S(i)), "TYM1")
+        for e in lat.nonunit
+        for i in sorted(lat.type_map(e).nonabsorbing)
+    ]
+    for e in lat.nonunit:
+        for i in sorted(lat.type_map(e).absorbing):
+            rels.append(Relation((e.name, S(i)), (e.name,), "TYM2"))
+            rels.append(Relation((S(i), e.name), (e.name,), "TYM2"))
     return rels
+
+
+def _presentation(
+    engine: RennerMonoid, flavor: str, rels: list[Relation], joins: list[Relation]
+) -> Presentation:
+    """The relations rels, already in order, then the joins sorted by their
+    outer idempotents, length and letters."""
+    pos = {g: k for k, g in enumerate(engine.alphabet)}
+    joins.sort(key=lambda r: (pos[r.lhs[0]], pos[r.lhs[-1]], len(r.lhs), r.lhs))
+    return Presentation(
+        engine.fam.family, engine.fam.rank, engine.alphabet, (*rels, *joins), flavor
+    )
 
 
 def _generate(engine: RennerMonoid, flavor: str) -> Presentation:
     """Coxeter and type relations, plus one join relation e w f = h per w
     in the join domain of each pair of nonunit idempotents."""
     domain = engine.reduced_join_domain if flavor == "reduced" else engine.meet_under_domain
-    rels = _coxeter_relations(engine) + _type_relations(engine)
+    joins = []
     for e in engine.lattice.nonunit:
         for f in engine.lattice.nonunit:
             for w in domain(e, f):
                 h = engine.meet_under(e, w, f)
                 mid = tuple(GeneratorName.s(i) for i in engine.weyl.reduced_word(w))
-                rels.append(Relation((e.name, *mid, f.name), (h.name,), "TYM3"))
-    return Presentation(
-        engine.fam.family,
-        engine.fam.rank,
-        engine.alphabet,
-        _sorted_relations(engine, rels),
-        flavor,
+                joins.append(Relation((e.name, *mid, f.name), (h.name,), "TYM3"))
+    return _presentation(
+        engine, flavor, _coxeter_relations(engine) + _type_relations(engine), joins
     )
 
 
@@ -182,26 +163,28 @@ def generate_reduced(engine: RennerMonoid) -> Presentation:
     return _generate(engine, "reduced")
 
 
-def _explicit_shared(engine: RennerMonoid, top: int, j_max: int) -> list[Relation]:
+def _explicit_shared(
+    engine: RennerMonoid, top: int, j_max: int
+) -> tuple[list[Relation], list[Relation]]:
     """COX plus the triangular idempotent families common to all three tables,
-    with the absorbing family e_j s_i = s_i e_j = e_j for j <= j_max < i."""
+    with the absorbing family e_j s_i = s_i e_j = e_j for j <= j_max < i; the
+    idempotent meets come second, as joins."""
     S, E = GeneratorName.s, GeneratorName.e
     rels = _coxeter_relations(engine)
     for j in range(1, top + 1):
         for i in range(1, j):
             rels.append(Relation((E(j), S(i)), (S(i), E(j)), "TYM1"))
-    for i in range(top + 1):
-        for j in range(i, top + 1):
-            if i == j:
-                rels.append(Relation((E(i), E(i)), (E(i),), "TYM3"))
-            else:
-                rels.append(Relation((E(i), E(j)), (E(i),), "TYM3"))
-                rels.append(Relation((E(j), E(i)), (E(i),), "TYM3"))
     for j in range(j_max + 1):
         for i in range(j + 1, top + 1):
             rels.append(Relation((E(j), S(i)), (E(j),), "TYM2"))
             rels.append(Relation((S(i), E(j)), (E(j),), "TYM2"))
-    return rels
+    joins = []
+    for i in range(top + 1):
+        joins.append(Relation((E(i), E(i)), (E(i),), "TYM3"))
+        for j in range(i + 1, top + 1):
+            joins.append(Relation((E(i), E(j)), (E(i),), "TYM3"))
+            joins.append(Relation((E(j), E(i)), (E(i),), "TYM3"))
+    return rels, joins
 
 
 def generate_explicit(engine: RennerMonoid) -> Presentation:
@@ -211,31 +194,25 @@ def generate_explicit(engine: RennerMonoid) -> Presentation:
     l = fam.rank
     if fam.family != "D":
         top = fam.degree - 1 if fam.family == "A" else l
-        rels = _explicit_shared(engine, top, top - 1)
+        rels, joins = _explicit_shared(engine, top, top - 1)
         for i in range(1, top + 1):
-            rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
+            joins.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
         if fam.family == "B":
-            rels.append(Relation((E(l), S(l), S(l - 1), S(l), E(l)), (E(l - 2),), "TYM3"))
+            joins.append(Relation((E(l), S(l), S(l - 1), S(l), E(l)), (E(l - 2),), "TYM3"))
     else:
         F = GeneratorName.f(l)
         # The absorbing family stops at j = l - 2: nothing absorbs into the
         # three rank >= l - 1 idempotents of this family.
-        rels = _explicit_shared(engine, l, l - 2)
-        rels.append(Relation((F, E(l)), (E(l - 1),), "TYM3"))
-        rels.append(Relation((E(l), F), (E(l - 1),), "TYM3"))
+        rels, joins = _explicit_shared(engine, l, l - 2)
+        joins.append(Relation((F, E(l)), (E(l - 1),), "TYM3"))
+        joins.append(Relation((E(l), F), (E(l - 1),), "TYM3"))
         for i in range(1, l):
-            rels.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
-        rels.append(Relation((E(l), S(l), E(l)), (E(l - 2),), "TYM3"))
-        rels.append(Relation((F, S(l - 1), F), (E(l - 2),), "TYM3"))
-        rels.append(
-            Relation((E(l), S(l), S(l - 2), S(l - 1), F), (E(l - 3),), "TYM3")
-        )
-        rels.append(
-            Relation((F, S(l - 1), S(l - 2), S(l), E(l)), (E(l - 3),), "TYM3")
-        )
-    return Presentation(
-        fam.family, fam.rank, engine.alphabet, _sorted_relations(engine, rels), "explicit"
-    )
+            joins.append(Relation((E(i), S(i), E(i)), (E(i - 1),), "TYM3"))
+        joins.append(Relation((E(l), S(l), E(l)), (E(l - 2),), "TYM3"))
+        joins.append(Relation((F, S(l - 1), F), (E(l - 2),), "TYM3"))
+        joins.append(Relation((E(l), S(l), S(l - 2), S(l - 1), F), (E(l - 3),), "TYM3"))
+        joins.append(Relation((F, S(l - 1), S(l - 2), S(l), E(l)), (E(l - 3),), "TYM3"))
+    return _presentation(engine, "explicit", rels, joins)
 
 
 def verify_relations(engine: RennerMonoid, pres: Presentation) -> RelationReport:

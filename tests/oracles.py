@@ -5,6 +5,9 @@ recomputes its answer from first principles so that it can legitimately
 check the corresponding engine path.  The one exception is
 `brute_normal_decompose`, which reduces its cosets with
 `WeylGroup.min_coset_rep`, itself checked against `brute_min_coset`.
+`relation_sort_key` and `up_intersection_words` check order, not content:
+the first reads each relation back, the second re-derives the `typemap`
+words pair by pair from `RennerMonoid.reduced_join_domain`.
 """
 
 import functools
@@ -248,3 +251,55 @@ def brute_normal_decompose(engine, x):
     w2 = weyl.min_coset_rep(w, commuting, "left")
     w1 = weyl.min_coset_rep(ext * w2.inverse(), absorbing, "right")
     return w1, e, w2
+
+
+def by_token(lat, token):
+    """The element of the lattice ``lat`` named ``token``, "1" for the unit."""
+    for e in lat.elements:
+        if e.token == token:
+            return e
+    raise ValueError(f"no lattice element named {token!r}")
+
+
+def relation_sort_key(engine):
+    """The order of a presentation's relations, read back from each one: by
+    tag, COX1 by index, COX2 by its pair, TYM1 and TYM2 by the idempotent's
+    position in the lattice and then the reflection, TYM3 by the positions
+    of its outer idempotents and then its middle word; ties by letters."""
+    position = {e.token: k for k, e in enumerate(engine.lattice.elements)}
+    tags = ["COX1", "COX2", "TYM1", "TYM2", "TYM3"]
+
+    def key(rel):
+        tag_rank = tags.index(rel.tag)
+        lhs_form = tuple((g.kind, g.index) for g in rel.lhs)
+        if rel.tag == "COX1":
+            return (tag_rank, rel.lhs[0].index)
+        if rel.tag == "COX2":
+            pair = sorted({g.index for g in rel.lhs})
+            return (tag_rank, pair[0], pair[-1], lhs_form)
+        if rel.tag in ("TYM1", "TYM2"):
+            e = next(g for g in rel.lhs if g.kind != "s")
+            s = next(g for g in rel.lhs if g.kind == "s")
+            return (tag_rank, position[str(e)], s.index, lhs_form)
+        mid = tuple(g.index for g in rel.lhs[1:-1])
+        ends = (position[str(rel.lhs[0])], position[str(rel.lhs[-1])])
+        return (tag_rank, *ends, len(mid), mid, lhs_form)
+
+    return key
+
+
+def up_intersection_words(engine):
+    """`renner typemap`'s up-intersections derived pair by pair: for e, then
+    f, over the nonunit lattice elements, the reduced words of
+    `reduced_join_domain(e, f)` sorted by (length, word)."""
+    weyl, lat = engine.weyl, engine.lattice
+    pairs = []
+    for e in lat.nonunit:
+        for f in lat.nonunit:
+            words = sorted(
+                (weyl.reduced_word(w) for w in engine.reduced_join_domain(e, f)),
+                key=lambda w: (len(w), w),
+            )
+            text = [" ".join(f"s{i}" for i in w) or "1" for w in words]
+            pairs.append({"e": e.token, "f": f.token, "words": text})
+    return pairs

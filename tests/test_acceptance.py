@@ -23,7 +23,7 @@ from rennermonoids import (
     verify_relations,
 )
 from rennermonoids.cli import main, parse_word
-from oracles import cheapest_word_costs, reflection_product, rook_monoid_size
+from oracles import by_token, cheapest_word_costs, reflection_product, rook_monoid_size
 from test_lattice import expected_type_map
 from test_presentation import GOLDEN
 
@@ -183,7 +183,7 @@ def test_criterion_7_table_snapshots(engine):
             absorbing, nonabsorbing = expected_type_map(family, rank, e.token)
             if tm.absorbing != absorbing or tm.nonabsorbing != nonabsorbing:
                 bad.append((family, rank, e.token))
-    f3 = engine("D", 3).lattice.by_token("f3")
+    f3 = by_token(engine("D", 3).lattice, "f3")
     confirmed = sorted(engine("D", 3).lattice.type_map(f3).nonabsorbing)
     print(
         "record: model confirms the commuting non-absorbed set of f3 as"
@@ -214,7 +214,7 @@ def test_criterion_7_table_snapshots(engine):
                     bad.append((family, rank, e.token, f.token))
     eng_d = engine("D", 3)
     lat_d, weyl_d = eng_d.lattice, eng_d.weyl
-    inter = lambda a, b: eng_d.reduced_join_domain(lat_d.by_token(a), lat_d.by_token(b))
+    inter = lambda a, b: eng_d.reduced_join_domain(by_token(lat_d, a), by_token(lat_d, b))
     d_expect = {
         ("e1", "e1"): {weyl_d.identity, weyl_d.s(1)},
         ("e2", "e2"): {weyl_d.identity},

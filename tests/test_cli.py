@@ -4,7 +4,8 @@ import pytest
 
 from rennermonoids import GeneratorName, RennerMonoid
 from rennermonoids.cli import WordParseError, main, parse_word
-from oracles import weyl_order
+from oracles import up_intersection_words, weyl_order
+from test_presentation import LADDER
 
 
 def run(capsys, *argv):
@@ -84,6 +85,24 @@ def test_enumerate_count(capsys):
     assert payload["result"]["count"] == 7
 
 
+def test_bare_enumerate_counts_without_decoding(capsys, monkeypatch):
+    def refuse(self, cap):
+        raise AssertionError("bare enumerate decoded the elements")
+
+    monkeypatch.setattr(RennerMonoid, "elements", refuse)
+    for family, rank, count in [("A", 5, 1546), ("B", 4, 13889), ("D", 4, 10625)]:
+        assert run(capsys, "--family", family, "--rank", str(rank), "enumerate") == (
+            0,
+            f"count: {count}\n",
+            "",
+        )
+        code, payload, _ = run_json(capsys, family, rank, "enumerate")
+        assert (code, payload["result"]) == (0, {"count": count})
+    code, out, err = run(capsys, "--family", "B", "--rank", "4", "--cap", "13888", "enumerate")
+    assert (code, out) == (3, "")
+    assert "13889 elements, cap=13888" in err
+
+
 def test_enumerate_words_are_distinct_normal_forms(capsys, engine):
     code, payload, _ = run_json(capsys, "B", 2, "enumerate", "--words")
     assert code == 0
@@ -127,6 +146,13 @@ def test_typemap(capsys):
     assert rows["e1"]["absorbing"] == ["s2", "s3"]
     ups = {(r["e"], r["f"]): r["words"] for r in payload["result"]["up_intersections"]}
     assert ups[("e3", "f3")] == ["1", "s3 s1 s2"]
+
+
+@pytest.mark.parametrize("family,rank", LADDER)
+def test_typemap_up_intersections_match_the_per_pair_oracle(capsys, engine, family, rank):
+    code, payload, _ = run_json(capsys, family, rank, "typemap")
+    assert code == 0
+    assert payload["result"]["up_intersections"] == up_intersection_words(engine(family, rank))
 
 
 def test_parse_error_exit_code(capsys):
@@ -281,7 +307,8 @@ def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
     def exhausted(self, cap):
         raise MemoryError
 
-    monkeypatch.setattr(RennerMonoid, "elements", exhausted)
+    # The closure, which bare enumerate and every element list go through.
+    monkeypatch.setattr(RennerMonoid, "inverse_images", exhausted)
     code, out, err = run(capsys, "--family", "A", "--rank", "3", "enumerate")
     assert (code, out) == (3, "")
     assert err == "error: out of memory: allocation failed\n"

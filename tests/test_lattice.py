@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import brute_coset_minima, brute_up_minima, descents, reflection_product
+from oracles import (
+    brute_coset_minima,
+    brute_up_minima,
+    by_token,
+    descents,
+    reflection_product,
+)
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -43,7 +49,7 @@ def test_lattice_order_symplectic_is_chain(engine):
 
 def test_lattice_order_even_orthogonal_has_diamond(engine):
     lat = engine("D", 3).lattice
-    e2, e3, f3, unit = (lat.by_token(t) for t in ("e2", "e3", "f3", "1"))
+    e2, e3, f3, unit = (by_token(lat, t) for t in ("e2", "e3", "f3", "1"))
     assert lat.lt(e2, e3) and lat.lt(e2, f3)
     assert lat.lt(e3, unit) and lat.lt(f3, unit)
     assert not lat.leq(e3, f3) and not lat.leq(f3, e3)
@@ -55,8 +61,8 @@ def test_order_is_partial_order_with_unit_top_zero_bottom(engine, family, rank):
     els = lat.elements
     for a in els:
         assert lat.leq(a, a)
-        assert lat.leq(lat.by_token("e0"), a)
-        assert lat.leq(a, lat.by_token("1"))
+        assert lat.leq(by_token(lat, "e0"), a)
+        assert lat.leq(a, by_token(lat, "1"))
     for a, b in itertools.permutations(els, 2):
         if lat.leq(a, b) and lat.leq(b, a):
             assert a == b
@@ -81,12 +87,12 @@ def test_meet_examples(engine):
     lat = engine("A", 4).lattice
     for i in range(4):
         for j in range(4):
-            got = lat.meet(lat.by_token(f"e{i}"), lat.by_token(f"e{j}"))
+            got = lat.meet(by_token(lat, f"e{i}"), by_token(lat, f"e{j}"))
             assert got.token == f"e{min(i, j)}"
     lat_d = engine("D", 3).lattice
-    assert lat_d.meet(lat_d.by_token("e3"), lat_d.by_token("f3")).token == "e2"
+    assert lat_d.meet(by_token(lat_d, "e3"), by_token(lat_d, "f3")).token == "e2"
     for e in lat_d.elements:
-        assert lat_d.meet(e, lat_d.by_token("1")) == e
+        assert lat_d.meet(e, by_token(lat_d, "1")) == e
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -161,12 +167,12 @@ def test_oversized_centralizer_is_refused(engine, monkeypatch):
 
 def test_parabolic_examples(engine):
     eng2 = engine("A", 2)
-    tm = eng2.lattice.type_map(eng2.lattice.by_token("e1"))
+    tm = eng2.lattice.type_map(by_token(eng2.lattice, "e1"))
     assert eng2.weyl.parabolic(tm.commuting) == frozenset({eng2.weyl.identity})
     eng3 = engine("A", 3)
     lat3, weyl3 = eng3.lattice, eng3.weyl
-    tm1 = lat3.type_map(lat3.by_token("e1"))
-    tm_unit = lat3.type_map(lat3.by_token("1"))
+    tm1 = lat3.type_map(by_token(lat3, "e1"))
+    tm_unit = lat3.type_map(by_token(lat3, "1"))
     expected = frozenset({weyl3.identity, weyl3.s(2)})
     assert weyl3.parabolic(tm1.commuting) == expected
     assert weyl3.parabolic(tm1.absorbing) == expected
@@ -179,7 +185,7 @@ def test_coset_minima_examples(engine):
     lat, weyl = eng.lattice, eng.weyl
     all_w = frozenset(weyl.elements)
     one = frozenset({weyl.identity})
-    unit, e1, e0 = (lat.type_map(lat.by_token(t)) for t in ("1", "e1", "e0"))
+    unit, e1, e0 = (lat.type_map(by_token(lat, t)) for t in ("1", "e1", "e0"))
     assert frozenset(weyl.iter_coset_minima(unit.commuting, "left")) == one
     assert frozenset(weyl.iter_coset_minima(unit.absorbing, "right")) == all_w
     assert frozenset(weyl.iter_coset_minima(e1.absorbing, "right")) == all_w
@@ -223,11 +229,11 @@ def test_up_minima_rook(engine):
     eng = engine("A", 3)
     lat, weyl = eng.lattice, eng.weyl
     for i in (1, 2):
-        e = lat.by_token(f"e{i}")
+        e = by_token(lat, f"e{i}")
         both = eng.reduced_join_domain(e, e)
         assert both == frozenset({weyl.identity, weyl.s(i)})
     for i, j in itertools.permutations((0, 1, 2), 2):
-        ei, ej = lat.by_token(f"e{i}"), lat.by_token(f"e{j}")
+        ei, ej = by_token(lat, f"e{i}"), by_token(lat, f"e{j}")
         assert eng.reduced_join_domain(ei, ej) == frozenset({weyl.identity})
 
 
@@ -238,7 +244,7 @@ def test_up_minima_symplectic(engine, rank):
     # at rank 2 does that stop at s2 s1 s2.
     eng = engine("B", rank)
     lat, weyl = eng.lattice, eng.weyl
-    top = lat.by_token(f"e{rank}")
+    top = by_token(lat, f"e{rank}")
     both = eng.reduced_join_domain(top, top)
     expected = {weyl.identity, weyl.s(rank), reflection_product(weyl, [rank, rank - 1, rank])}
     if rank == 3:
@@ -248,14 +254,14 @@ def test_up_minima_symplectic(engine, rank):
         k * (k + 1) // 2 for k in range(rank + 1)
     ]
     for i in range(1, rank):
-        e = lat.by_token(f"e{i}")
+        e = by_token(lat, f"e{i}")
         assert eng.reduced_join_domain(e, e) == frozenset({weyl.identity, weyl.s(i)})
 
 
 def test_up_minima_even_orthogonal(engine):
     eng = engine("D", 3)
     lat, weyl = eng.lattice, eng.weyl
-    e1, e2, e3, f3 = (lat.by_token(t) for t in ("e1", "e2", "e3", "f3"))
+    e1, e2, e3, f3 = (by_token(lat, t) for t in ("e1", "e2", "e3", "f3"))
     inter = eng.reduced_join_domain
     assert inter(e1, e1) == frozenset({weyl.identity, weyl.s(1)})
     assert inter(e2, e2) == frozenset({weyl.identity})

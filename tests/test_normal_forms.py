@@ -8,6 +8,7 @@ from rennermonoids import (
 )
 from oracles import (
     brute_normal_decompose,
+    by_token,
     cheapest_word_costs,
     image_bytes,
     reflection_product,
@@ -33,9 +34,9 @@ def test_decompose_examples_rook_rank2(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
     assert eng.normal_decompose(eng.identity) == NormalForm(
-        weyl.identity, lat.by_token("1"), weyl.identity
+        weyl.identity, by_token(lat, "1"), weyl.identity
     )
-    e1, s1 = lat.by_token("e1"), weyl.s(1)
+    e1, s1 = by_token(lat, "e1"), weyl.s(1)
     x = PartialInjection((None, 1))
     assert x == eng.generators[GeneratorName.e(1)] * s1
     assert eng.normal_decompose(x) == NormalForm(weyl.identity, e1, s1)
@@ -121,10 +122,10 @@ def test_multiply_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
     unit_nf = eng.normal_decompose(eng.identity)
-    a = NormalForm(weyl.identity, lat.by_token("e1"), weyl.s(1))
+    a = NormalForm(weyl.identity, by_token(lat, "e1"), weyl.s(1))
     assert eng.multiply(a, unit_nf) == a
     assert eng.multiply(unit_nf, a) == a
-    zero_nf = NormalForm(weyl.identity, lat.by_token("e0"), weyl.identity)
+    zero_nf = NormalForm(weyl.identity, by_token(lat, "e0"), weyl.identity)
     assert eng.multiply(a, a) == zero_nf
 
 
@@ -133,22 +134,21 @@ def test_sandwich_relation_pattern(engine, family, rank, imax):
     # e_i s_i e_i drops one diagonal rank
     eng = engine(family, rank)
     for i in range(1, imax + 1):
-        e = eng.lattice.by_token(f"e{i}")
+        e = by_token(eng.lattice, f"e{i}")
         nf = eng.normal_decompose(e.idem * eng.weyl.s(i) * e.idem)
         assert nf == NormalForm(
-            eng.weyl.identity, eng.lattice.by_token(f"e{i - 1}"), eng.weyl.identity
+            eng.weyl.identity, by_token(eng.lattice, f"e{i - 1}"), eng.weyl.identity
         )
         # the absorbed form coincides with it
-        assert e.idem * eng.weyl.s(i) * e.idem == eng.weyl.s(i) * eng.lattice.by_token(
-            f"e{i - 1}"
-        ).idem
+        below = by_token(eng.lattice, f"e{i - 1}")
+        assert e.idem * eng.weyl.s(i) * e.idem == eng.weyl.s(i) * below.idem
 
 
 def test_length_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    assert eng.length(NormalForm(weyl.identity, lat.by_token("e0"), weyl.identity)) == 0
-    assert eng.length(NormalForm(weyl.s(1), lat.by_token("e1"), weyl.s(1))) == 2
+    assert eng.length(NormalForm(weyl.identity, by_token(lat, "e0"), weyl.identity)) == 0
+    assert eng.length(NormalForm(weyl.s(1), by_token(lat, "e1"), weyl.s(1))) == 2
     for w in weyl:
         assert eng.length_of_element(w) == weyl.length(w)
 
@@ -201,12 +201,12 @@ def test_length_zero_iff_idempotent_in_lattice(engine, elements, family, rank):
 def test_meet_under_examples(engine):
     eng_b = engine("B", 2)
     lat_b, weyl_b = eng_b.lattice, eng_b.weyl
-    e2 = lat_b.by_token("e2")
+    e2 = by_token(lat_b, "e2")
     assert eng_b.meet_under(e2, reflection_product(weyl_b, [2, 1, 2]), e2).token == "e0"
     eng_d = engine("D", 3)
     lat_d, weyl_d = eng_d.lattice, eng_d.weyl
     got = eng_d.meet_under(
-        lat_d.by_token("e3"), reflection_product(weyl_d, [3, 1, 2]), lat_d.by_token("f3")
+        by_token(lat_d, "e3"), reflection_product(weyl_d, [3, 1, 2]), by_token(lat_d, "f3")
     )
     assert got.token == "e0"
     for e in lat_d.elements:
@@ -271,7 +271,7 @@ def test_no_module_holds_a_functools_cache():
 
 def test_meet_under_rejects_non_minimal(engine):
     eng = engine("A", 3)
-    e1 = eng.lattice.by_token("e1")
+    e1 = by_token(eng.lattice, "e1")
     with pytest.raises(ValueError, match="double-coset minimal"):
         eng.meet_under(e1, eng.weyl.s(2), e1)
 
@@ -296,14 +296,14 @@ def test_left_mult_examples(engine):
     eng2 = engine("A", 2)
     unit_nf = eng2.normal_decompose(eng2.identity)
     assert eng2.left_mult_generator(1, unit_nf) == NormalForm(
-        eng2.weyl.s(1), eng2.lattice.by_token("1"), eng2.weyl.identity
+        eng2.weyl.s(1), by_token(eng2.lattice, "1"), eng2.weyl.identity
     )
-    a = NormalForm(eng2.weyl.identity, eng2.lattice.by_token("e1"), eng2.weyl.s(1))
+    a = NormalForm(eng2.weyl.identity, by_token(eng2.lattice, "e1"), eng2.weyl.s(1))
     assert eng2.left_mult_generator(1, a) == NormalForm(
-        eng2.weyl.s(1), eng2.lattice.by_token("e1"), eng2.weyl.s(1)
+        eng2.weyl.s(1), by_token(eng2.lattice, "e1"), eng2.weyl.s(1)
     )
     eng3 = engine("A", 3)
-    b = NormalForm(eng3.weyl.identity, eng3.lattice.by_token("e1"), eng3.weyl.identity)
+    b = NormalForm(eng3.weyl.identity, by_token(eng3.lattice, "e1"), eng3.weyl.identity)
     assert eng3.left_mult_generator(2, b) == b  # s2 is absorbed by e1
 
 
@@ -339,7 +339,7 @@ def test_solomon_delta_examples(engine):
     delta = lambda nf: weyl.length(nf.w1) - weyl.length(nf.w2)
     for e in lat.elements:
         assert delta(NormalForm(weyl.identity, e, weyl.identity)) == 0
-    e1 = lat.by_token("e1")
+    e1 = by_token(lat, "e1")
     assert delta(NormalForm(weyl.s(1), e1, weyl.s(1))) == 0
     assert delta(NormalForm(weyl.s(1), e1, weyl.identity)) == 1
 

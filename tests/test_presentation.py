@@ -16,11 +16,21 @@ from rennermonoids import (
     verify_relations,
     word_str,
 )
-from oracles import coxeter_graph_exponents
+from oracles import coxeter_graph_exponents, relation_sort_key
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)]
+# D4 is the first rank whose Coxeter type is D.
+LADDER = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)]
+LADDER += [("D", r) for r in range(3, 6)]
+GENERATORS = {"full": generate_full, "reduced": generate_reduced, "explicit": generate_explicit}
 S, E = GeneratorName.s, GeneratorName.e
+
+
+def golden_lines(name):
+    """The relation lines of a golden file, comments and blank lines dropped."""
+    text = (GOLDEN / f"{name}.txt").read_text()
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
 def rewrite(eng, word):
@@ -201,10 +211,20 @@ def test_rewrite_is_idempotent_and_value_preserving(engine, elements, family, ra
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 3)])
 def test_explicit_presentation_matches_golden_file(engine, family, rank):
     eng = engine(family, rank)
-    lines = relation_lines(generate_explicit(eng))
-    golden = [
-        line
-        for line in (GOLDEN / f"explicit_{family}{rank}.txt").read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert lines == golden
+    assert relation_lines(generate_explicit(eng)) == golden_lines(f"explicit_{family}{rank}")
+
+
+@pytest.mark.parametrize(
+    "flavor,family,rank", [("reduced", "B", 3), ("reduced", "D", 4), ("full", "D", 4)]
+)
+def test_generated_presentation_matches_golden_file(engine, flavor, family, rank):
+    lines = relation_lines(GENERATORS[flavor](engine(family, rank)))
+    assert lines == golden_lines(f"{flavor}_{family}{rank}")
+
+
+@pytest.mark.parametrize("flavor", GENERATORS)
+@pytest.mark.parametrize("family,rank", LADDER)
+def test_relations_are_in_the_reference_order(engine, family, rank, flavor):
+    eng = engine(family, rank)
+    pres = GENERATORS[flavor](eng)
+    assert pres.relations == tuple(sorted(pres.relations, key=relation_sort_key(eng)))
