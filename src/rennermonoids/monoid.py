@@ -71,7 +71,8 @@ class RennerMonoid:
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
-        self._tables = {name: byte_table(p) for name, p in self.generators.items()}
+        # Keyed by (kind, index): GeneratorName's dataclass hash runs in Python.
+        self._tables = {(g.kind, g.index): byte_table(p) for g, p in self.generators.items()}
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
             self.fam.degree,
@@ -150,10 +151,12 @@ class RennerMonoid:
         """Product of generator letters, word read left to right: the letters'
         byte tables, looked up left to right so that the leftmost unknown
         letter is named, act right to left on the identity's image bytes."""
+        word = tuple(word)
         try:
-            tables = [self._tables[g] for g in word]
-        except KeyError as exc:
-            raise ValueError(f"unknown generator {exc.args[0]}") from None
+            tables = [self._tables[g.kind, g.index] for g in word]
+        except (KeyError, AttributeError):
+            g = next(g for g in word if g not in self.generators)
+            raise ValueError(f"unknown generator {g}") from None
         image = reduce(bytes.translate, reversed(tables), bytes(self.identity.image))
         return _unchecked(tuple([v or None for v in image]))
 

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from rennermonoids import (
@@ -224,6 +226,50 @@ def test_evaluate_names_the_leftmost_unknown_generator(engine):
     eng = engine("B", 2)
     with pytest.raises(ValueError, match="unknown generator e9"):
         eng.evaluate([GeneratorName.e(9), GeneratorName.s(1), GeneratorName.s(99)])
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        (["s1"], "unknown generator s1"),
+        ([("s", 1)], "unknown generator ('s', 1)"),
+        (iter([GeneratorName.s(1), GeneratorName.e(9), GeneratorName.s(99)]), "unknown generator e9"),
+        ([GeneratorName.s(1), 5], "unknown generator 5"),
+    ],
+    ids=["string", "tuple", "one-shot iterator", "integer"],
+)
+def test_evaluate_names_letters_that_are_not_generators(engine, word, message):
+    with pytest.raises(ValueError) as exc:
+        engine("B", 2).evaluate(word)
+    assert str(exc.value) == message
+
+
+def test_evaluate_rejects_unhashable_letters_as_before(engine):
+    with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
+        engine("B", 2).evaluate([[1]])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_evaluate_reads_letters_by_value(engine, family, rank):
+    eng = engine(family, rank)
+    fresh = tuple(GeneratorName(g.kind, g.index) for g in eng.alphabet)
+    assert fresh == eng.alphabet and not any(map(operator.is_, fresh, eng.alphabet))
+    assert eng.evaluate(fresh) == eng.evaluate(eng.alphabet)
+    assert eng.evaluate(fresh[::-1]) == eng.evaluate(eng.alphabet[::-1])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("D", 5)])
+def test_evaluate_does_not_hash_generator_names(engine, monkeypatch, family, rank):
+    eng = engine(family, rank)
+    expected = eng.identity
+    for g in eng.alphabet:
+        expected = expected * eng.generators[g]
+
+    def refuse(self):
+        raise AssertionError("GeneratorName hashed")
+
+    monkeypatch.setattr(GeneratorName, "__hash__", refuse)
+    assert eng.evaluate(eng.alphabet) == expected
 
 
 def test_queries_leave_the_engine_as_built():
