@@ -2,18 +2,20 @@
 
 Lengths come from breadth-first search over the Cayley graph of the simple
 reflections, so the same machinery serves every embedding (types A, B, D)
-with no per-type inversion formula.  Coset queries are walks and bitmask
-tests (bit i for s_i) on integer-indexed tables: w is minimal in w * W_I
-iff no right descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
+with no per-type inversion formula.  The search walks image bytes, taking
+s * w by one `bytes.translate` table per generator; the right steps come
+from the left ones through inverses, as w * s = (s * w^-1)^-1.  Coset
+queries are walks and bitmask tests (bit i for s_i) on integer-indexed
+tables: w is minimal in w * W_I iff no right descent of w lies in I
+(Bjorner-Brenti, GTM 231, 2.4).
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .model import PartialInjection, _unchecked
+from .model import PartialInjection, _unchecked, byte_table
 
 
 def _mask(I: Iterable[int]) -> int:
@@ -35,35 +37,33 @@ class WeylGroup:
     0..|W|-1 inside (0 is the identity, then breadth-first order).  Descent
     sets stay internal bitmasks: callers ask whether w is minimal in its
     coset as min_coset_rep(w, I, side) == w.  Immutable after construction.
+    Raises ValueError above degree 255, which has no byte encoding.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int):
         self.degree = degree
         self._s = dict(sorted(gens.items()))
-        images = [tuple(range(1, degree + 1))]
-        index = {images[0]: 0}
-        length, support = [0], [0]
-        # s * w has image s(w(j)): pick entries of the padded image of s.
-        padded = {i: (0, *s.image) for i, s in self._s.items()}
         left: dict[int, list[int]] = {i: [] for i in self._s}
+        steps = [(i, byte_table(s), left[i]) for i, s in self._s.items()]
+        unit = bytes(range(1, degree + 1))
+        images = [unit]
+        index = {unit: 0}
+        length, support = [0], [0]
         for k, w in enumerate(images):
-            act = itemgetter(*w)
-            for i, s in padded.items():
-                v = act(s)
+            for i, table, col in steps:
+                v = w.translate(table)
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(images)
                     images.append(v)
                     length.append(length[k] + 1)
                     support.append(support[k] | 1 << i)
-                left[i].append(j)
-        # w * s has image w(s(j)): pick the entries of w at positions s(j).
-        right: dict[int, list[int]] = {}
-        for i, s in self._s.items():
-            act = itemgetter(*(v - 1 for v in s.image))
-            right[i] = [index[act(w)] for w in images]
-        self.elements: tuple[PartialInjection, ...] = tuple(map(_unchecked, images))
-        self._index, self._length, self._support = index, length, support
+                col.append(j)
+        inv = [index[unit.translate(bytes.maketrans(w, unit))] for w in images]
+        right = {i: [inv[col[j]] for j in inv] for i, col in left.items()}
+        self._index = {w: k for k, w in enumerate(map(tuple, images))}
+        self.elements: tuple[PartialInjection, ...] = tuple(map(_unchecked, self._index))
+        self._length, self._support = length, support
         self._step = {"left": left, "right": right}
         self._desc = {"left": _descents(left, length), "right": _descents(right, length)}
 

@@ -45,7 +45,7 @@ class OutsideMonoidError(ValueError):
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in about 7.5 s and 250 MB on one
+# 1.06 million left-factor entries) builds in 4.7-6.5 s and 255-261 MB on one
 # core of a 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 

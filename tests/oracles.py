@@ -60,6 +60,54 @@ def reflection_product(weyl, word):
     return functools.reduce(operator.mul, (weyl.s(i) for i in word), weyl.identity)
 
 
+def tuple_weyl_tables(gens, degree):
+    """`WeylGroup`'s tables built on image tuples, the reference for its
+    byte-translate construction: a left BFS that picks each s * w from the
+    padded image of s by `itemgetter`, right steps w * s picked from each w
+    at the positions s(j), and descent masks read off both step tables.
+
+    Returns the elements, the tuple index, lengths, supports, the step
+    tables and the descent masks, each as `WeylGroup` stores it.
+    """
+    gens = dict(sorted(gens.items()))
+    images = [tuple(range(1, degree + 1))]
+    index = {images[0]: 0}
+    length, support = [0], [0]
+    padded = {i: (0, *s.image) for i, s in gens.items()}
+    left = {i: [] for i in gens}
+    for k, w in enumerate(images):
+        act = operator.itemgetter(*w)
+        for i, s in padded.items():
+            v = act(s)
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(images)
+                images.append(v)
+                length.append(length[k] + 1)
+                support.append(support[k] | 1 << i)
+            left[i].append(j)
+    right = {}
+    for i, s in gens.items():
+        act = operator.itemgetter(*(v - 1 for v in s.image))
+        right[i] = [index[act(w)] for w in images]
+    step = {"left": left, "right": right}
+    desc = {
+        side: [
+            sum(1 << i for i, col in table.items() if length[col[k]] < length[k])
+            for k in range(len(images))
+        ]
+        for side, table in step.items()
+    }
+    return {
+        "elements": tuple(PartialInjection(w) for w in images),
+        "index": index,
+        "length": length,
+        "support": support,
+        "step": step,
+        "desc": desc,
+    }
+
+
 def cheapest_word_costs(engine) -> dict:
     """Minimal word cost per element, reflection letters cost 1, idempotents 0.
 

@@ -8,7 +8,9 @@ from oracles import (
     brute_min_double_coset,
     descents,
     reflection_product,
+    tuple_weyl_tables,
 )
+from rennermonoids import MonoidFamily, PartialInjection, WeylGroup, build_generators
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 
@@ -45,8 +47,6 @@ def test_length_examples(engine):
 
 
 def test_length_rejects_outsiders(engine):
-    from rennermonoids import PartialInjection
-
     with pytest.raises(ValueError):
         engine("A", 2).weyl.length(PartialInjection((None,) * 2))
 
@@ -132,3 +132,41 @@ def test_in_parabolic(engine):
     assert not weyl.in_parabolic(weyl.s(1), {2})
     assert weyl.in_parabolic(reflection_product(weyl, [1, 2]), {1, 2})
     assert weyl.parabolic({2}) == frozenset({weyl.identity, weyl.s(2)})
+
+
+def _weyl_gens(family, rank):
+    fam = MonoidFamily(family, rank)
+    gens = build_generators(fam).items()
+    return {g.index: p for g, p in gens if g.kind == "s"}, fam.degree
+
+
+TABLE_RANKS = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 6)]
+TABLE_RANKS += [("D", r) for r in range(3, 6)]
+
+
+@pytest.mark.parametrize("family,rank", TABLE_RANKS)
+def test_tables_match_tuple_construction(family, rank):
+    gens, degree = _weyl_gens(family, rank)
+    weyl = WeylGroup(gens, degree)
+    ref = tuple_weyl_tables(gens, degree)
+    assert weyl.elements == ref["elements"]
+    assert list(weyl._index.items()) == list(ref["index"].items())
+    assert weyl._length == ref["length"]
+    assert weyl._support == ref["support"]
+    for side in ("left", "right"):
+        assert list(weyl._step[side].items()) == list(ref["step"][side].items())
+        assert weyl._desc[side] == ref["desc"][side]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_right_steps_are_products(family, rank):
+    # right[i][k] indexes w_k * s_i, computed here by the PartialInjection product
+    weyl = WeylGroup(*_weyl_gens(family, rank))
+    for i, col in weyl._step["right"].items():
+        for k, w in enumerate(weyl.elements):
+            assert weyl.elements[col[k]] == w * weyl.s(i)
+
+
+def test_degree_above_byte_limit_is_refused():
+    with pytest.raises(ValueError, match="255"):
+        WeylGroup({1: PartialInjection.transpositions(256, (1, 2))}, 256)
