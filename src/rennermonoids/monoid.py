@@ -5,14 +5,17 @@ w1 right-reduced modulo the absorbing parabolic of e, and w2 left-reduced
 modulo the full centralizer parabolic of e.  The length of an element is
 the number of simple-reflection letters in a cheapest word for it; the
 idempotent letters cost nothing, and on normal forms the length is just
-len(w1) + len(w2) in the Coxeter sense.
+len(w1) + len(w2) in the Coxeter sense.  Queries run on image bytes, 0
+where undefined, as `byte_table` encodes them: the domain mask of x picks
+e and w2, its nonzero bytes pick w1, and w1's table must carry the stored
+bytes of e * w2 to those of x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from operator import itemgetter
 from typing import Iterable
 
 from .coxeter import WeylGroup
@@ -40,12 +43,21 @@ class NormalForm:
     w2: PartialInjection
 
 
+# `bytes.translate` table taking image bytes to the domain mask: 1 where defined.
+_DOMAIN = bytes([0, *[1] * 255])
+
+
+def _decoded(image: bytes) -> PartialInjection:
+    """The element with these image bytes, 0 where undefined."""
+    return _unchecked(tuple([v or None for v in image]))
+
+
 class OutsideMonoidError(ValueError):
     """Partial injection that has no expression inside the modeled monoid."""
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in 4.7-6.5 s and 255-261 MB on one
+# 1.06 million left-factor entries) builds in 4.4-7.0 s and 258-262 MB on one
 # core of a 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 
@@ -54,8 +66,11 @@ class RennerMonoid:
     """Engine for one family and rank: model, group, lattice, normal forms.
 
     Two tables are built at construction and never changed: the
-    left-factor table of each lattice element and the conjugation table of
-    domains.  Normal forms are looked up, not memoised.  Each join
+    left-factor table of each nonunit lattice element e (the values of w1 on
+    dom(e), in order -> w1) and the conjugation table (the domain mask of
+    each conjugate of a lattice idempotent -> its e, its w2, the image bytes
+    of e * w2 and e's left-factor table).  Normal forms are looked up, not
+    memoised, and checked against the input.  Each join
     e * w * f is computed and checked when it is asked for, and the element
     list is enumerated afresh on each call.  Neither the engine nor any
     module of the package holds state filled on use (no functools cache),
@@ -73,6 +88,7 @@ class RennerMonoid:
         self.generators = build_generators(self.fam)
         # Keyed by (kind, index): GeneratorName's dataclass hash runs in Python.
         self._tables = {(g.kind, g.index): byte_table(p) for g, p in self.generators.items()}
+        self._unit = bytes(range(1, self.fam.degree + 1))
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
             self.fam.degree,
@@ -87,25 +103,29 @@ class RennerMonoid:
         left_factor: dict[str, dict[bytes, PartialInjection]] = {}
         for e in self.lattice.nonunit:
             minima = list(self.weyl.iter_coset_minima(self.lattice.type_map(e).absorbing))
-            table = left_factor[e.token] = {
-                bytes(compress(w.image, e.idem.image)): w for w in minima
-            }
+            at = [j - 1 for j in e.idem.domain()]
+            pick = itemgetter(*at) if len(at) > 1 else lambda image: [image[j] for j in at]
+            table = left_factor[e.token] = {bytes(pick(w.image)): w for w in minima}
             if len(table) != len(minima):
                 raise RuntimeError(f"two left factors under {e.token} agree on its domain")
 
         # Domain u(dom e) of each conjugate u * e * u^-1 of a lattice element,
-        # by a breadth-first walk of its orbit -> (e, w2, e's left-factor
-        # table, None for the unit).  w2^-1 carries dom(e) onto the domain in
-        # increasing order (w2 has no left descent among the reflections
-        # swapping neighbours in dom(e)), so for an x with that domain the
-        # values of x * w2^-1 on dom(e) are those of x on its domain, in order.
-        self._conjugation: dict[tuple[int, ...], tuple] = {}
+        # by a breadth-first walk of its orbit -> (e, w2, image bytes of
+        # e * w2, e's left-factor table, None for the unit), keyed by the
+        # mask of that domain once the orbit is walked.  w2^-1 carries dom(e)
+        # onto the domain in increasing order (w2 has no left descent among
+        # the reflections swapping neighbours in dom(e)), so for an x with that
+        # domain the values of x * w2^-1 on dom(e) are those of x, in order.
+        self._idem_tables = {e.idem.image: byte_table(e.idem) for e in self.lattice.elements}
+        self._conjugation: dict[bytes, tuple] = {}
         reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
             commuting = self.lattice.type_map(e).commuting
+            idem = self._idem_tables[e.idem.image]
+            orbit: dict[tuple[int, ...], tuple] = {}
             queue = [(e.idem.domain(), self.identity, self.identity)]
             for dom, s, u in queue:
-                if dom in self._conjugation:
+                if dom in orbit:
                     continue
                 u = s * u
                 w2 = self.weyl.min_coset_rep(u.inverse(), commuting, "left")
@@ -113,8 +133,10 @@ class RennerMonoid:
                     raise RuntimeError(
                         f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
                     )
-                self._conjugation[dom] = (e, w2, left_factor.get(e.token))
+                ew2 = bytes(w2.image).translate(idem)
+                orbit[dom] = (e, w2, ew2, left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
+            self._conjugation.update((c[2].translate(_DOMAIN), c) for c in orbit.values())
 
     @property
     def identity(self) -> PartialInjection:
@@ -157,48 +179,65 @@ class RennerMonoid:
         except (KeyError, AttributeError):
             g = next(g for g in word if g not in self.generators)
             raise ValueError(f"unknown generator {g}") from None
-        image = reduce(bytes.translate, reversed(tables), bytes(self.identity.image))
-        return _unchecked(tuple([v or None for v in image]))
-
-    def value(self, nf: NormalForm) -> PartialInjection:
-        return nf.w1 * nf.e.idem * nf.w2
+        return _decoded(reduce(bytes.translate, reversed(tables), self._unit))
 
     def normal_decompose(self, x: PartialInjection) -> NormalForm:
         """The unique canonical triple evaluating to x.
 
         The domain of x is that of a conjugate u * e * u^-1 of a lattice
-        element e, and it alone fixes e and w2 (tabled at construction).
-        Then x * w2^-1 = w1 * e, so w1 is the right-minimal unit with the
-        values of x * w2^-1 on dom(e), which are the values of x in order:
-        one lookup in the left-factor table of e, or, for the unit, x itself
-        if it lies in the unit group.  Nothing is memoised: a call reads
-        only tables fixed at construction, so threads may share an engine
-        freely.
+        element e, and it alone fixes e and w2: one lookup of x's domain
+        mask in the conjugation table.  Then x * w2^-1 = w1 * e, so w1 is
+        the right-minimal unit with the values of x * w2^-1 on dom(e), which
+        are the nonzero image bytes of x in order: one lookup in the
+        left-factor table of e, or, for the unit, x itself if it lies in the
+        unit group.  Nothing is memoised: a call reads only tables fixed at
+        construction, so threads may share an engine freely.
         """
         if x.degree != self.fam.degree:
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
-        dom = x.domain()
-        conj = self._conjugation.get(dom)
+        return self._decompose(bytes([v or 0 for v in x.image]))
+
+    def _decompose(self, image: bytes) -> NormalForm:
+        """`normal_decompose` of the element with these image bytes, checked
+        as value = x: w1's table carries the bytes of e * w2 to ``image``."""
+        conj = self._conjugation.get(image.translate(_DOMAIN))
         if conj is None:
             raise OutsideMonoidError(
-                f"domain {dom} matches no conjugate of a lattice idempotent"
+                f"domain {_decoded(image).domain()} matches no conjugate of a lattice idempotent"
             )
-        e, w2, table = conj
+        e, w2, ew2, table = conj
         if table is None:
-            w1 = x if x in self.weyl else None
+            w1 = w if (w := _unchecked(tuple(image))) in self.weyl else None
         else:
-            w1 = table.get(bytes(filter(None, x.image)))
+            w1 = table.get(image.replace(b"\0", b""))
         if w1 is None:
             raise OutsideMonoidError(
-                f"no unit-group permutation extends {x!r}; element is outside the monoid"
+                f"no unit-group permutation extends {_decoded(image)!r};"
+                " element is outside the monoid"
             )
-        nf = NormalForm(w1, e, w2)
-        if self.value(nf) != x:
+        if ew2.translate(bytes.maketrans(self._unit, bytes(w1.image))) != image:
             raise RuntimeError("normal decomposition does not reproduce its input")
-        return nf
+        return NormalForm(w1, e, w2)
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        return self.normal_decompose(self.value(a) * self.value(b))
+        """a * b: b.w2's image bytes translated by the tables of b.e, b.w1,
+        a.w2, a.e and a.w1, then decomposed.  The table of an idempotent
+        outside this engine's lattice is built on the call."""
+        da, db = len(a.w2.image), len(b.w2.image)
+        if da != db:
+            raise ValueError(f"degree mismatch: {da} != {db}")
+        if db != self.fam.degree:
+            raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {db}")
+        unit, idem = self._unit, self._idem_tables
+        image = (
+            bytes(b.w2.image)
+            .translate(idem.get(b.e.idem.image) or byte_table(b.e.idem))
+            .translate(bytes.maketrans(unit, bytes(b.w1.image)))
+            .translate(bytes.maketrans(unit, bytes(a.w2.image)))
+            .translate(idem.get(a.e.idem.image) or byte_table(a.e.idem))
+            .translate(bytes.maketrans(unit, bytes(a.w1.image)))
+        )
+        return self._decompose(image)
 
     def length(self, nf: NormalForm) -> int:
         return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)

@@ -2,9 +2,11 @@
 
 Nothing here touches normal forms, type maps, or coset tables; each oracle
 recomputes its answer from first principles so that it can legitimately
-check the corresponding engine path.  The one exception is
-`brute_normal_decompose`, which reduces its cosets with
-`WeylGroup.min_coset_rep`, itself checked against `brute_min_coset`.
+check the corresponding engine path.  There are two exceptions.
+`brute_normal_decompose` reduces its cosets with `WeylGroup.min_coset_rep`,
+itself checked against `brute_min_coset`.  `product_multiply` decomposes
+with the engine, so it checks only how `RennerMonoid.multiply` composes,
+against the `PartialInjection` product of the two `value`s.
 `relation_sort_key` and `up_intersection_words` check order, not content:
 the first reads each relation back, the second re-derives the `typemap`
 words pair by pair from `RennerMonoid.reduced_join_domain`.
@@ -299,6 +301,16 @@ def brute_normal_decompose(engine, x):
     w2 = weyl.min_coset_rep(w, commuting, "left")
     w1 = weyl.min_coset_rep(ext * w2.inverse(), absorbing, "right")
     return w1, e, w2
+
+
+def value(nf):
+    """The element w1 * e * w2 of a normal form, by `PartialInjection` products."""
+    return nf.w1 * nf.e.idem * nf.w2
+
+
+def product_multiply(engine, a, b):
+    """The normal form of a * b: the product of the two values, decomposed."""
+    return engine.normal_decompose(value(a) * value(b))
 
 
 def by_token(lat, token):

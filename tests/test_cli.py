@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from rennermonoids import GeneratorName, RennerMonoid
+from rennermonoids import GeneratorName, PartialInjection, RennerMonoid
 from rennermonoids.cli import WordParseError, main, parse_word
 from oracles import up_intersection_words, weyl_order
+from test_normal_forms import corrupt_left_factor
 from test_presentation import LADDER
 
 
@@ -202,7 +203,13 @@ def test_out_of_range_index_exit_code(capsys):
 
 
 def test_failed_internal_check_exits_4_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(RennerMonoid, "value", lambda self, nf: self.identity)
+    build = RennerMonoid.__init__
+
+    def corrupted(self, family, rank):
+        build(self, family, rank)
+        corrupt_left_factor(self, PartialInjection((2, None)))  # the value of s1 e1
+
+    monkeypatch.setattr(RennerMonoid, "__init__", corrupted)
     code, out, err = run(capsys, "--family", "A", "--rank", "2", "nf", "s1 e1")
     assert (code, out) == (4, "")
     assert err == (

@@ -1,4 +1,5 @@
 import operator
+import random
 
 import pytest
 
@@ -13,7 +14,9 @@ from oracles import (
     by_token,
     cheapest_word_costs,
     image_bytes,
+    product_multiply,
     reflection_product,
+    value,
     word_costs_01,
 )
 
@@ -83,6 +86,71 @@ def test_even_orthogonal_engine_refuses_the_rest_of_the_symplectic_monoid(
             eng.normal_decompose(x)
 
 
+@pytest.mark.parametrize(
+    "family,rank,image,message",
+    [
+        ("B", 2, (1, None, None, 4), "domain (1, 4) matches no conjugate of a lattice idempotent"),
+        (
+            "B",
+            3,
+            (1, 6, None, None, None, None),
+            "no unit-group permutation extends PartialInjection({1: 1, 2: 6}, degree=6);"
+            " element is outside the monoid",
+        ),
+        (
+            "B",
+            2,
+            (2, 1, 3, 4),
+            "no unit-group permutation extends PartialInjection({1: 2, 2: 1, 3: 3, 4: 4},"
+            " degree=4); element is outside the monoid",
+        ),
+    ],
+    ids=["no conjugate", "no unit extension", "unit outside W"],
+)
+def test_decompose_refusal_messages(engine, family, rank, image, message):
+    with pytest.raises(OutsideMonoidError) as exc:
+        engine(family, rank).normal_decompose(PartialInjection(image))
+    assert str(exc.value) == message
+
+
+def test_decompose_and_multiply_refuse_other_degrees(engine):
+    eng, other = engine("A", 3), engine("A", 2)
+    with pytest.raises(ValueError) as exc:
+        eng.normal_decompose(other.identity)
+    assert str(exc.value) == "degree mismatch: expected 3, got 2"
+    mine, theirs = eng.normal_decompose(eng.identity), other.normal_decompose(other.identity)
+    for a, b, message in [
+        (mine, theirs, "degree mismatch: 3 != 2"),
+        (theirs, mine, "degree mismatch: 2 != 3"),
+        (theirs, theirs, "degree mismatch: expected 3, got 2"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            eng.multiply(a, b)
+        assert str(exc.value) == message
+
+
+def corrupt_left_factor(eng, x):
+    """Point the stored left-factor entry that x looks up at the identity, so
+    that the triple found for x (whose w1 is not the identity) no longer
+    evaluates to it."""
+    table = eng._conjugation[bytes([1 if v else 0 for v in x.image])][3]
+    table[bytes(filter(None, x.image))] = eng.identity
+
+
+def test_decompose_and_multiply_refuse_a_corrupted_table():
+    from rennermonoids import RennerMonoid
+
+    eng = RennerMonoid("A", 2)  # not the suite's shared engine: it gets corrupted
+    x = eng.evaluate([GeneratorName.s(1), GeneratorName.e(1)])
+    nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(eng.identity)
+    corrupt_left_factor(eng, x)
+    message = "^normal decomposition does not reproduce its input$"
+    with pytest.raises(RuntimeError, match=message):
+        eng.normal_decompose(x)
+    with pytest.raises(RuntimeError, match=message):
+        eng.multiply(unit_nf, nf)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
 def test_decompose_matches_scan_of_unit_group(engine, elements, family, rank):
     eng = engine(family, rank)
@@ -99,7 +167,7 @@ def test_triple_evaluation_is_a_bijection(engine, elements, family, rank):
     count = 0
     for nf in all_normal_forms(eng):
         count += 1
-        v = eng.value(nf)
+        v = value(nf)
         assert v not in seen, f"collision: {seen[v]} vs {nf}"
         seen[v] = nf
         assert v in members
@@ -117,7 +185,7 @@ def test_membership_invariants_of_decomposition(engine, elements, family, rank):
         tm = eng.lattice.type_map(nf.e)
         assert nf.w1 in frozenset(eng.weyl.iter_coset_minima(tm.absorbing, "right"))
         assert nf.w2 in frozenset(eng.weyl.iter_coset_minima(tm.commuting, "left"))
-        assert eng.value(nf) == x
+        assert value(nf) == x
 
 
 def test_multiply_examples(engine):
@@ -129,6 +197,40 @@ def test_multiply_examples(engine):
     assert eng.multiply(unit_nf, a) == a
     zero_nf = NormalForm(weyl.identity, by_token(lat, "e0"), weyl.identity)
     assert eng.multiply(a, a) == zero_nf
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_multiply_equals_the_product_oracle_on_every_pair(engine, elements, family, rank):
+    eng = engine(family, rank)
+    nfs = [eng.normal_decompose(x) for x in elements(family, rank)]
+    for a in nfs:
+        for b in nfs:
+            assert eng.multiply(a, b) == product_multiply(eng, a, b)
+
+
+def test_multiply_takes_normal_forms_of_another_engine_of_its_degree(engine, elements):
+    # D3's f3 is no lattice idempotent of B3, whose engine has no table for it
+    b3, d3 = engine("B", 3), engine("D", 3)
+    nfs = [d3.normal_decompose(x) for x in elements("D", 3)[::7]]
+    assert any(nf.e.token == "f3" for nf in nfs)
+    for a in nfs:
+        for b in nfs:
+            assert b3.multiply(a, b) == product_multiply(b3, a, b)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("family,rank", [("B", 5), ("D", 5)])
+def test_exhaustive_round_trip_and_sampled_multiply(engine, family, rank):
+    eng = engine(family, rank)
+    nfs = []
+    for x in eng.elements():  # not the suite's memo: 0.3 million elements each
+        nf = eng.normal_decompose(x)
+        assert value(nf) == x
+        nfs.append(nf)
+    rng = random.Random(f"{family}{rank}")
+    for _ in range(20_000):
+        a, b = rng.choice(nfs), rng.choice(nfs)
+        assert eng.multiply(a, b) == product_multiply(eng, a, b)
 
 
 @pytest.mark.parametrize("family,rank,imax", [("A", 4, 3), ("B", 3, 3)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rennermonoids import GeneratorName, PartialInjection
+from oracles import product_multiply, value
 from test_presentation import rewrite
 
 RANKS = [("A", 6), ("B", 4), ("D", 5)]
@@ -56,8 +57,8 @@ def test_normal_form_round_trip(engine, family, rank, data):
     eng = engine(family, rank)
     x = eng.evaluate(random_word(data, eng))
     nf = eng.normal_decompose(x)
-    assert eng.value(nf) == x
-    assert eng.normal_decompose(eng.value(nf)) == nf
+    assert value(nf) == x
+    assert eng.normal_decompose(value(nf)) == nf
 
 
 @pytest.mark.parametrize("family,rank", RANKS)
@@ -67,7 +68,7 @@ def test_canonical_word_evaluates_back_with_length_letters(engine, family, rank,
     eng = engine(family, rank)
     nf = decomposed(data, eng)
     word = eng.canonical_word(nf)
-    assert eng.evaluate(word) == eng.value(nf)
+    assert eng.evaluate(word) == value(nf)
     assert sum(g.kind == "s" for g in word) == eng.length(nf)
 
 
@@ -78,9 +79,18 @@ def test_left_mult_generator_agrees_with_decomposition(engine, family, rank, dat
     eng = engine(family, rank)
     nf = decomposed(data, eng)
     i = data.draw(st.sampled_from(eng.weyl.s_indices))
-    expected = eng.normal_decompose(eng.weyl.s(i) * eng.value(nf))
+    expected = eng.normal_decompose(eng.weyl.s(i) * value(nf))
     assert eng.left_mult_generator(i, nf) == expected
     assert expected == eng.multiply(eng.normal_decompose(eng.generators[GeneratorName.s(i)]), nf)
+
+
+@pytest.mark.parametrize("family,rank", RANKS)
+@bounded
+@given(data=st.data())
+def test_multiply_equals_the_product_oracle(engine, family, rank, data):
+    eng = engine(family, rank)
+    a, b = decomposed(data, eng), decomposed(data, eng)
+    assert eng.multiply(a, b) == product_multiply(eng, a, b)
 
 
 @pytest.mark.parametrize("family,rank", RANKS)
