@@ -3,11 +3,12 @@
 Lengths come from breadth-first search over the Cayley graph of the simple
 reflections, so the same machinery serves every embedding (types A, B, D)
 with no per-type inversion formula.  The search walks image bytes, taking
-s * w by one `bytes.translate` table per generator; the right steps come
-from the left ones through inverses, as w * s = (s * w^-1)^-1.  Coset
-queries are walks and bitmask tests (bit i for s_i) on integer-indexed
-tables: w is minimal in w * W_I iff no right descent of w lies in I
-(Bjorner-Brenti, GTM 231, 2.4).
+s * w by one `bytes.translate` table per generator.  Only the left action
+is stored, with each element's inverse: the right side comes through
+inversion, as w * s = (s * w^-1)^-1, so the right descents of w are the
+left descents of w^-1.  Coset queries are walks and bitmask tests (bit i
+for s_i) on integer-indexed tables: w is minimal in w * W_I iff no right
+descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
 """
 
 from __future__ import annotations
@@ -59,13 +60,12 @@ class WeylGroup:
                     length.append(length[k] + 1)
                     support.append(support[k] | 1 << i)
                 col.append(j)
-        inv = [index[unit.translate(bytes.maketrans(w, unit))] for w in images]
-        right = {i: [inv[col[j]] for j in inv] for i, col in left.items()}
+        self._inv = [index[unit.translate(bytes.maketrans(w, unit))] for w in images]
         self._index = {w: k for k, w in enumerate(map(tuple, images))}
         self.elements: tuple[PartialInjection, ...] = tuple(map(_unchecked, self._index))
-        self._length, self._support = length, support
-        self._step = {"left": left, "right": right}
-        self._desc = {"left": _descents(left, length), "right": _descents(right, length)}
+        self._length, self._support, self._step = length, support, left
+        ldesc = _descents(left, length)
+        self._desc = {"left": ldesc, "right": [ldesc[j] for j in self._inv]}
 
     @property
     def identity(self) -> PartialInjection:
@@ -96,17 +96,18 @@ class WeylGroup:
         except KeyError:
             raise ValueError(f"not an element of the unit group: {w!r}") from None
 
-    def _side(self, side: str) -> tuple[list[int], dict[int, list[int]]]:
+    def _side(self, side: str) -> list[int]:
+        """The descent masks on that side."""
         if side not in self._desc:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return self._desc[side], self._step[side]
+        return self._desc[side]
 
     def length(self, w: PartialInjection) -> int:
         return self._length[self._at(w)]
 
     def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""
-        desc, step = self._desc["left"], self._step["left"]
+        desc, step = self._desc["left"], self._step
         k = self._at(w)
         word: list[int] = []
         while ds := desc[k]:
@@ -118,39 +119,41 @@ class WeylGroup:
     def min_coset_rep(
         self, w: PartialInjection, I: Iterable[int], side: str = "right"
     ) -> PartialInjection:
-        """Minimal-length element of w * W_I (side "right") or W_I * w (side "left")."""
-        desc, step = self._side(side)
-        m = _mask(I)
-        k = self._at(w)
+        """Minimal-length element of W_I * w (side "left") or w * W_I (side
+        "right"), the latter the inverse of the minimum of W_I * w^-1."""
+        right = self._side(side) is self._desc["right"]
+        desc, step, inv, m = self._desc["left"], self._step, self._inv, _mask(I)
+        k = inv[self._at(w)] if right else self._at(w)
         while ds := desc[k] & m:
             k = step[(ds & -ds).bit_length() - 1][k]
-        return self.elements[k]
+        return self.elements[inv[k] if right else k]
 
     def double_coset_minima(
         self, J: Iterable[int], I: Iterable[int]
     ) -> frozenset[PartialInjection]:
         """All w minimal in W_J * w * W_I: no left descent in J, no right descent in I.
 
-        Walks right steps from 1 through the elements with no left descent in
-        J.  Each such w != 1 steps down to one by deleting a right descent,
-        which never adds a left descent, so the walk reaches all of them.
-        Then drops those with a right descent in I.
+        Walks left steps from 1 through the elements with no right descent in
+        I.  Each such w != 1 steps down to one by deleting a left descent,
+        which never adds a right descent, so the walk reaches all of them.
+        Then drops those with a left descent in J.
         """
         left, right = self._desc["left"], self._desc["right"]
         mj, mi = _mask(J), _mask(I)
         seen = {0}
         queue = [0]
         for k in queue:
-            for col in self._step["right"].values():
+            for col in self._step.values():
                 j = col[k]
-                if j not in seen and not left[j] & mj:
+                if j not in seen and not right[j] & mi:
                     seen.add(j)
                     queue.append(j)
-        return frozenset(self.elements[k] for k in queue if not right[k] & mi)
+        return frozenset(self.elements[k] for k in queue if not left[k] & mj)
 
     def coxeter_exponent(self, i: int, j: int) -> int:
-        """m(i, j): the order of s_i * s_j, walked on the right-action table."""
-        si, sj = self._step["right"][i], self._step["right"][j]
+        """m(i, j): the order of s_i * s_j, which is that of its conjugate
+        s_j * s_i, walked on the left-action table."""
+        si, sj = self._step[i], self._step[j]
         k, m = sj[si[0]], 1
         while k:
             k, m = sj[si[k]], m + 1
@@ -175,6 +178,5 @@ class WeylGroup:
     ) -> Iterator[PartialInjection]:
         """The w minimal in w * W_I or W_I * w (side "left"), in index order:
         those with no descent on that side in I."""
-        desc, _ = self._side(side)
         m = _mask(I)
-        return compress(self.elements, [not d & m for d in desc])
+        return compress(self.elements, [not d & m for d in self._side(side)])

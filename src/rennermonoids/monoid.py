@@ -57,7 +57,7 @@ class OutsideMonoidError(ValueError):
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in 4.4-7.0 s and 258-262 MB on one
+# 1.06 million left-factor entries) builds in 4.8-5.2 s and 244 MB on one
 # core of a 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 
@@ -219,25 +219,23 @@ class RennerMonoid:
             raise RuntimeError("normal decomposition does not reproduce its input")
         return NormalForm(w1, e, w2)
 
+    def _image(self, nf: NormalForm) -> bytes:
+        """The image bytes of w1 * e * w2: those of w2, translated by the
+        tables of e and w1.  The table of an idempotent outside this
+        engine's lattice is built on the call."""
+        idem = self._idem_tables.get(nf.e.idem.image) or byte_table(nf.e.idem)
+        w1_table = bytes.maketrans(self._unit, bytes(nf.w1.image))
+        return bytes(nf.w2.image).translate(idem).translate(w1_table)
+
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        """a * b: b.w2's image bytes translated by the tables of b.e, b.w1,
-        a.w2, a.e and a.w1, then decomposed.  The table of an idempotent
-        outside this engine's lattice is built on the call."""
+        """a * b: the image bytes of b translated by a's, then decomposed."""
         da, db = len(a.w2.image), len(b.w2.image)
         if da != db:
             raise ValueError(f"degree mismatch: {da} != {db}")
         if db != self.fam.degree:
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {db}")
-        unit, idem = self._unit, self._idem_tables
-        image = (
-            bytes(b.w2.image)
-            .translate(idem.get(b.e.idem.image) or byte_table(b.e.idem))
-            .translate(bytes.maketrans(unit, bytes(b.w1.image)))
-            .translate(bytes.maketrans(unit, bytes(a.w2.image)))
-            .translate(idem.get(a.e.idem.image) or byte_table(a.e.idem))
-            .translate(bytes.maketrans(unit, bytes(a.w1.image)))
-        )
-        return self._decompose(image)
+        a_table = bytes.maketrans(self._unit, self._image(a))
+        return self._decompose(self._image(b).translate(a_table))
 
     def length(self, nf: NormalForm) -> int:
         return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
@@ -301,17 +299,12 @@ class RennerMonoid:
         return h
 
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
-        """Left multiplication by s_i via the absorb-or-extend dichotomy.
-
-        With m the minimum of s_i * w1 modulo the absorbing parabolic of e,
-        either m == s_i * w1, which replaces w1, or m == w1: then s_i * w1
-        lies in w1 * W_abs(e), which e absorbs, and the element is unchanged
-        (Deodhar's lemma).
-        """
-        v = self.weyl.s(i) * nf.w1
-        m = self.weyl.min_coset_rep(v, self.lattice.type_map(nf.e).absorbing)
-        if m == v:
-            return NormalForm(v, nf.e, nf.w2)
-        if m == nf.w1:
-            return nf
-        raise RuntimeError("left-multiplication dichotomy failed")
+        """s_i * x: the image bytes of x translated by the table of s_i, then
+        decomposed."""
+        table = self._tables.get(("s", i))
+        if table is None:
+            raise ValueError(f"no simple reflection with index {i}")
+        d = len(nf.w1.image)
+        if d != self.fam.degree:
+            raise ValueError(f"degree mismatch: {self.fam.degree} != {d}")
+        return self._decompose(self._image(nf).translate(table))

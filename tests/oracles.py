@@ -69,7 +69,8 @@ def tuple_weyl_tables(gens, degree):
     at the positions s(j), and descent masks read off both step tables.
 
     Returns the elements, the tuple index, lengths, supports, the step
-    tables and the descent masks, each as `WeylGroup` stores it.
+    tables and the descent masks, each as `WeylGroup` stores or derives it
+    (it stores the left steps and derives the right ones through inverses).
     """
     gens = dict(sorted(gens.items()))
     images = [tuple(range(1, degree + 1))]

@@ -1,14 +1,15 @@
 """Every public function, method and class in `src/` has a caller in the
 package or in `perfbench/`.
 
-Uses are NAME tokens, so a name that only a docstring or a comment mentions
-does not count, and `__init__.py` re-exports do not count either.  A name
-whose only callers are tests belongs in `tests/oracles.py`, not in `src/`.
+A method is used where its name is loaded as an attribute (`obj.name`); a
+module-level function or class also where its name is loaded bare.  So a
+name that only a docstring, a comment, a keyword argument or an assignment
+target (a loop variable, say) spells does not count, and `__init__.py`
+re-exports do not count either.  A name whose only callers are tests belongs
+in `tests/oracles.py`, not in `src/`.
 """
 
 import ast
-import io
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -19,32 +20,37 @@ PACKAGE = ROOT / "src" / "rennermonoids"
 ALLOWED: dict[str, str] = {}
 
 
-def _public_definitions(path: Path) -> list[str]:
-    """Module-level functions and classes, and the methods of those classes."""
-    defs = []
+def _public_definitions(path: Path):
+    """Module-level functions and classes, and the methods of those classes,
+    as (name, is_method) pairs, private names included."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs.append(node.name)
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
-            defs += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
-    return [name for name in defs if not name.startswith("_")]
+            yield from ((m.name, True) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
-def _name_tokens(paths) -> Counter:
-    counts = Counter()
+def _loads(paths) -> tuple[Counter, Counter]:
+    """Attribute loads (`obj.name`) and bare name loads, by name."""
+    attrs, names = Counter(), Counter()
     for path in paths:
-        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-        counts.update(t.string for t in tokens if t.type == tokenize.NAME)
-    return counts
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs[node.attr] += 1
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[node.id] += 1
+    return attrs, names
 
 
 def test_every_public_name_in_src_has_a_caller():
     sources = sorted(PACKAGE.glob("*.py"))
-    defined = Counter(name for path in sources for name in _public_definitions(path))
     users = [p for p in sources if p.name != "__init__.py"]
-    uses = _name_tokens(users + sorted((ROOT / "perfbench").glob("*.py")))
-    # Each definition contributes one NAME token of its own, after def or class.
-    unused = sorted(name for name in defined if uses[name] <= defined[name])
-    flagged = [name for name in unused if name not in ALLOWED]
+    attrs, names = _loads(users + sorted((ROOT / "perfbench").glob("*.py")))
+    unused = {
+        name
+        for path in sources
+        for name, is_method in _public_definitions(path)
+        if not name.startswith("_") and not attrs[name] and (is_method or not names[name])
+    }
+    flagged = sorted(unused - ALLOWED.keys())
     assert not flagged, f"public names with no caller in src/ or perfbench/: {flagged}"
-

@@ -144,6 +144,13 @@ TABLE_RANKS = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 6)]
 TABLE_RANKS += [("D", r) for r in range(3, 6)]
 
 
+def _derived_right_steps(weyl):
+    # w_k * s_i = (s_i * w_k^-1)^-1: the right step that WeylGroup derives
+    # from its left table through inverses instead of storing it
+    inv = weyl._inv
+    return {i: [inv[col[inv[k]]] for k in range(len(inv))] for i, col in weyl._step.items()}
+
+
 @pytest.mark.parametrize("family,rank", TABLE_RANKS)
 def test_tables_match_tuple_construction(family, rank):
     gens, degree = _weyl_gens(family, rank)
@@ -153,16 +160,18 @@ def test_tables_match_tuple_construction(family, rank):
     assert list(weyl._index.items()) == list(ref["index"].items())
     assert weyl._length == ref["length"]
     assert weyl._support == ref["support"]
+    assert list(weyl._step.items()) == list(ref["step"]["left"].items())
+    assert list(_derived_right_steps(weyl).items()) == list(ref["step"]["right"].items())
     for side in ("left", "right"):
-        assert list(weyl._step[side].items()) == list(ref["step"][side].items())
         assert weyl._desc[side] == ref["desc"][side]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
 def test_right_steps_are_products(family, rank):
-    # right[i][k] indexes w_k * s_i, computed here by the PartialInjection product
+    # the derived right[i][k] indexes w_k * s_i, computed here by the
+    # PartialInjection product
     weyl = WeylGroup(*_weyl_gens(family, rank))
-    for i, col in weyl._step["right"].items():
+    for i, col in _derived_right_steps(weyl).items():
         for k, w in enumerate(weyl.elements):
             assert weyl.elements[col[k]] == w * weyl.s(i)
 

@@ -143,12 +143,15 @@ def test_decompose_and_multiply_refuse_a_corrupted_table():
     eng = RennerMonoid("A", 2)  # not the suite's shared engine: it gets corrupted
     x = eng.evaluate([GeneratorName.s(1), GeneratorName.e(1)])
     nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(eng.identity)
+    e1_nf = eng.normal_decompose(eng.evaluate([GeneratorName.e(1)]))
     corrupt_left_factor(eng, x)
     message = "^normal decomposition does not reproduce its input$"
     with pytest.raises(RuntimeError, match=message):
         eng.normal_decompose(x)
     with pytest.raises(RuntimeError, match=message):
         eng.multiply(unit_nf, nf)
+    with pytest.raises(RuntimeError, match=message):
+        eng.left_mult_generator(1, e1_nf)  # s1 * e1 is x
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
@@ -220,7 +223,7 @@ def test_multiply_takes_normal_forms_of_another_engine_of_its_degree(engine, ele
 
 @pytest.mark.exhaustive
 @pytest.mark.parametrize("family,rank", [("B", 5), ("D", 5)])
-def test_exhaustive_round_trip_and_sampled_multiply(engine, family, rank):
+def test_exhaustive_round_trip_and_sampled_products(engine, family, rank):
     eng = engine(family, rank)
     nfs = []
     for x in eng.elements():  # not the suite's memo: 0.3 million elements each
@@ -231,6 +234,11 @@ def test_exhaustive_round_trip_and_sampled_multiply(engine, family, rank):
     for _ in range(20_000):
         a, b = rng.choice(nfs), rng.choice(nfs)
         assert eng.multiply(a, b) == product_multiply(eng, a, b)
+    for _ in range(20_000):
+        nf = rng.choice(nfs)
+        for i in eng.weyl.s_indices:
+            expected = eng.normal_decompose(eng.weyl.s(i) * value(nf))
+            assert eng.left_mult_generator(i, nf) == expected
 
 
 @pytest.mark.parametrize("family,rank,imax", [("A", 4, 3), ("B", 3, 3)])
@@ -453,6 +461,33 @@ def test_left_mult_examples(engine):
     eng3 = engine("A", 3)
     b = NormalForm(eng3.weyl.identity, by_token(eng3.lattice, "e1"), eng3.weyl.identity)
     assert eng3.left_mult_generator(2, b) == b  # s2 is absorbed by e1
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_left_mult_rejects_an_unknown_index(engine, i):
+    eng = engine("A", 3)
+    nf = eng.normal_decompose(eng.identity)
+    with pytest.raises(ValueError, match=f"^no simple reflection with index {i}$"):
+        eng.left_mult_generator(i, nf)
+
+
+def test_left_mult_rejects_a_normal_form_of_another_degree(engine):
+    a2, a3 = engine("A", 2), engine("A", 3)
+    theirs, mine = a2.normal_decompose(a2.identity), a3.normal_decompose(a3.identity)
+    for nf in (theirs, NormalForm(a2.identity, mine.e, mine.w2)):
+        with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
+            a3.left_mult_generator(1, nf)
+
+
+def test_left_mult_takes_normal_forms_of_another_engine_of_its_degree(engine, elements):
+    # D3's f3 is no lattice idempotent of B3, whose engine has no table for it
+    b3, d3 = engine("B", 3), engine("D", 3)
+    nfs = [d3.normal_decompose(x) for x in elements("D", 3)]
+    assert any(nf.e.token == "f3" for nf in nfs)
+    for nf in nfs:
+        for i in b3.weyl.s_indices:
+            expected = b3.normal_decompose(b3.weyl.s(i) * value(nf))
+            assert b3.left_mult_generator(i, nf) == expected
 
 
 @pytest.mark.parametrize("family,rank", SMALL + [("A", 5), ("B", 4), ("D", 4)])
