@@ -13,7 +13,8 @@ Families:
 PartialInjection is the type the package takes and returns, and its
 product is the general one.  Hot loops multiply by fixed elements on
 images as bytes instead, 0 where undefined, translating them by `byte_table`;
-`enumerate_monoid` returns such bytes, those of each element's inverse.
+`enumerate_monoid` returns such bytes, those of each element's inverse, as
+the keys of an insertion-ordered dict.
 """
 
 from __future__ import annotations
@@ -220,15 +221,17 @@ def byte_table(p: PartialInjection) -> bytes:
     return bytes([0, *[v or 0 for v in p.image]]).ljust(256, b"\0")
 
 
-def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> list[bytes]:
+def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[bytes, None]:
     """Breadth-first closure of the generators under composition, unit included,
-    as the image bytes of each element's inverse.
+    as a dict keyed by the image bytes of each element's inverse, every value
+    None.
 
     As (x * g)^-1 = g^-1 * x^-1, the `byte_table` of g^-1 carries x's inverse
-    bytes to x * g's, so no element is decoded.  The list is in insertion
-    order: x before y when x was reached first, and the products of one x in
-    generator order.  Raises ValueError above degree 255, and
-    EnumerationCapExceeded as soon as the closure would outgrow ``cap``.
+    bytes to x * g's, so no element is decoded.  The dict is the closure's own
+    seen-set, handed over uncopied, in insertion order: x before y when x was
+    reached first, and the products of one x in generator order.  Raises
+    ValueError above degree 255, and EnumerationCapExceeded as soon as the
+    closure would outgrow ``cap``.
     """
     tables = [byte_table(g.inverse()) for g in build_generators(fam).values()]
     unit = bytes(range(1, fam.degree + 1))
@@ -243,4 +246,4 @@ def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> l
                     raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
                 seen[y] = None
                 queue.append(y)
-    return list(seen)
+    return seen

@@ -146,9 +146,10 @@ class RennerMonoid:
     def alphabet(self) -> tuple[GeneratorName, ...]:
         return tuple(self.generators)
 
-    def inverse_images(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[bytes]:
-        """The image bytes of every element's inverse, 0 where undefined, in
-        `enumerate_monoid` order.
+    def inverse_images(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[bytes, None]:
+        """The `enumerate_monoid` dict, passed on: keyed by the image bytes of
+        every element's inverse, 0 where undefined, in its order.  The caller
+        owns it, and `verify_completeness` marks its hits in it.
 
         Refused before enumerating if the monoid has more than ``cap``
         elements: one per normal form, so sum over e of
@@ -165,7 +166,7 @@ class RennerMonoid:
         return enumerate_monoid(self.fam, cap)
 
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PartialInjection, ...]:
-        """All monoid elements in deterministic enumeration order: the
+        """All monoid elements in deterministic enumeration order: the keys of
         `inverse_images`, each inverted, under the same cap."""
         return tuple(map(_inverted, self.inverse_images(cap)))
 
@@ -222,10 +223,15 @@ class RennerMonoid:
     def _image(self, nf: NormalForm) -> bytes:
         """The image bytes of w1 * e * w2: those of w2, translated by the
         tables of e and w1.  The table of an idempotent outside this
-        engine's lattice is built on the call."""
-        idem = self._idem_tables.get(nf.e.idem.image) or byte_table(nf.e.idem)
-        w1_table = bytes.maketrans(self._unit, bytes(nf.w1.image))
-        return bytes(nf.w2.image).translate(idem).translate(w1_table)
+        engine's lattice is built on the call.  Each factor must have the
+        engine's degree."""
+        w1, idem, w2 = nf.w1.image, nf.e.idem.image, nf.w2.image
+        n = len(self._unit)
+        if not len(w1) == len(idem) == len(w2) == n:
+            d = next(len(p) for p in (w1, idem, w2) if len(p) != n)
+            raise ValueError(f"degree mismatch: {n} != {d}")
+        table = self._idem_tables.get(idem) or byte_table(nf.e.idem)
+        return bytes(w2).translate(table).translate(bytes.maketrans(self._unit, bytes(w1)))
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
         """a * b: the image bytes of b translated by a's, then decomposed."""
@@ -304,7 +310,4 @@ class RennerMonoid:
         table = self._tables.get(("s", i))
         if table is None:
             raise ValueError(f"no simple reflection with index {i}")
-        d = len(nf.w1.image)
-        if d != self.fam.degree:
-            raise ValueError(f"degree mismatch: {self.fam.degree} != {d}")
         return self._decompose(self._image(nf).translate(table))

@@ -20,7 +20,8 @@ idempotents in lattice order, then by length, then by letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import countOf
 from typing import Sequence
 
 from .coxeter import WeylGroup
@@ -233,11 +234,15 @@ def verify_completeness(
     the monoid.  Both sides are counted in the closure's own encoding, the
     image bytes of inverses (`RennerMonoid.inverse_images`), so no element
     is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes
-    translated by the `byte_table` of w2^-1 * e.
+    translated by the `byte_table` of w2^-1 * e.  The monoid is held once:
+    each value is marked True in the closure's own dict, in place, and is
+    freed on the spot if it is already a key; a value outside the closure
+    becomes a key of its own.  Keys still None are then the missing ones,
+    and the distinct values are all other keys.
     """
     closure = engine.inverse_images(cap)
+    size = len(closure)
     weyl = engine.weyl
-    values: set[bytes] = set()
     total = 0
     breakdown = []
     for e in engine.lattice.elements:
@@ -248,14 +253,14 @@ def verify_completeness(
         total += len(w1_inv) * len(w2s)
         for w2 in w2s:
             table = byte_table(w2.inverse() * e.idem)
-            values.update([b.translate(table) for b in w1_inv])
-    missing = sum(1 for y in closure if y not in values)
+            closure.update(zip(map(bytes.translate, w1_inv, repeat(table)), repeat(True)))
+    missing = countOf(closure.values(), None)
     return CompletenessReport(
         engine.fam.family,
         engine.fam.rank,
-        len(closure),
+        size,
         total,
-        len(values),
+        len(closure) - missing,
         missing,
         tuple(breakdown),
     )

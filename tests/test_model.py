@@ -181,7 +181,7 @@ def decoded(fam):
 @pytest.mark.parametrize("family,rank", CLOSURE_RANKS)
 def test_enumeration_order_matches_the_product_closure(family, rank):
     fam = MonoidFamily(family, rank)
-    assert enumerate_monoid(fam) == [image_bytes(x.inverse()) for x in product_closure(fam)]
+    assert list(enumerate_monoid(fam)) == [image_bytes(x.inverse()) for x in product_closure(fam)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("D", 3)])

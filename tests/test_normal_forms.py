@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import random
 
@@ -127,6 +128,31 @@ def test_decompose_and_multiply_refuse_other_degrees(engine):
         with pytest.raises(ValueError) as exc:
             eng.multiply(a, b)
         assert str(exc.value) == message
+
+
+def with_factor_of_a2(a2, a3, factor):
+    """A3's identity form with ``factor`` taken from A2's."""
+    mine, theirs = a3.normal_decompose(a3.identity), a2.normal_decompose(a2.identity)
+    return dataclasses.replace(mine, **{factor: getattr(theirs, factor)})
+
+
+@pytest.mark.parametrize("factor", ["w1", "e"])
+@pytest.mark.parametrize("foreign_first", [True, False], ids=["foreign*mine", "mine*foreign"])
+def test_multiply_names_a_factor_of_another_degree(engine, factor, foreign_first):
+    """Whichever operand holds it: A2's w1 gives no 3-point table, and A2's e
+    would send 3 to 0 unnoticed."""
+    a2, a3 = engine("A", 2), engine("A", 3)
+    mine, foreign = a3.normal_decompose(a3.identity), with_factor_of_a2(a2, a3, factor)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
+        a3.multiply(*((foreign, mine) if foreign_first else (mine, foreign)))
+
+
+@pytest.mark.parametrize("factor", ["e", "w2"])
+def test_left_mult_names_a_factor_of_another_degree(engine, factor):
+    """w1 of another degree: `test_left_mult_rejects_a_normal_form_of_another_degree`."""
+    a2, a3 = engine("A", 2), engine("A", 3)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
+        a3.left_mult_generator(1, with_factor_of_a2(a2, a3, factor))
 
 
 def corrupt_left_factor(eng, x):
@@ -383,7 +409,7 @@ def test_evaluate_does_not_hash_generator_names(engine, monkeypatch, family, ran
 
 
 def test_queries_leave_the_engine_as_built():
-    from rennermonoids import RennerMonoid
+    from rennermonoids import RennerMonoid, verify_completeness
 
     eng = RennerMonoid("B", 3)
     built = {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(eng).items()}
@@ -397,6 +423,8 @@ def test_queries_leave_the_engine_as_built():
         for f in lat.nonunit:
             for w in eng.reduced_join_domain(e, f):
                 eng.meet_under(e, w, f)
+    # the count marks its hits in the closure it is handed, not in the engine
+    assert verify_completeness(eng) == verify_completeness(eng)
     assert vars(eng).keys() == built.keys()
     for k, v in vars(eng).items():
         assert v is built[k][0], k

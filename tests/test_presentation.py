@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from rennermonoids import (
     verify_relations,
     word_str,
 )
-from oracles import coxeter_graph_exponents, relation_sort_key
+from oracles import by_token, coxeter_graph_exponents, relation_sort_key
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)]
@@ -174,7 +175,7 @@ def test_completeness_counts_an_element_outside_the_triples(engine, monkeypatch)
 
     closure = monoid.enumerate_monoid
     outsider = bytes(build_generators(MonoidFamily("B", 3))[S(3)].inverse().image)
-    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: closure(*a) + [outsider])
+    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: {**closure(*a), outsider: None})
     rep = verify_completeness(engine("D", 3))
     assert (rep.monoid_size, rep.triple_count, rep.value_count) == (542, 541, 541)
     assert rep.missing == 1 and not rep.ok
@@ -184,10 +185,54 @@ def test_completeness_counts_a_dropped_element(engine, monkeypatch):
     import rennermonoids.monoid as monoid
 
     closure = monoid.enumerate_monoid
-    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: closure(*a)[:-1])
+    monkeypatch.setattr(monoid, "enumerate_monoid", lambda *a: dict.fromkeys([*closure(*a)][:-1]))
     rep = verify_completeness(engine("D", 3))
     assert (rep.monoid_size, rep.triple_count, rep.value_count) == (540, 541, 541)
     assert rep.missing == 0 and not rep.ok
+
+
+def test_completeness_counts_colliding_values(engine, monkeypatch):
+    """At A3, e1 has three left factors and three right ones.  If one of
+    its w2 gets another's table, the three values of that w2 collide with
+    the other's, and the three elements they stood for go missing."""
+    import rennermonoids.presentation as presentation
+
+    eng = engine("A", 3)
+    e1 = by_token(eng.lattice, "e1")
+    w2s = list(eng.weyl.iter_coset_minima(eng.lattice.type_map(e1).commuting, "left"))
+    dropped, doubled = (w.inverse() * e1.idem for w in w2s[1:3])
+    real = presentation.byte_table
+    monkeypatch.setattr(presentation, "byte_table", lambda p: real(doubled if p == dropped else p))
+    rep = verify_completeness(eng)
+    assert (rep.monoid_size, rep.triple_count, rep.value_count) == (34, 34, 31)
+    assert (rep.collisions, rep.missing) == (3, 3) and not rep.ok
+
+
+def traced_peak(run):
+    """The peak of memory traced while ``run()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("B", 4)])
+def test_completeness_holds_one_copy_of_the_monoid(engine, family, rank):
+    """The count marks its values in the closure's own dict: a second set of
+    the values took the peak to 1.34-1.80 times the closure's."""
+    eng = engine(family, rank)
+    closure = traced_peak(eng.inverse_images)
+    assert traced_peak(lambda: verify_completeness(eng)) <= 1.1 * closure
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("family,rank,size", [("B", 5, 322_021), ("D", 5, 258_661)])
+def test_exhaustive_three_way_count(engine, family, rank, size):
+    rep = verify_completeness(engine(family, rank))
+    assert (rep.monoid_size, rep.triple_count, rep.value_count) == (size, size, size)
+    assert rep.missing == 0 and rep.ok
 
 
 def test_rewrite_examples(engine):
