@@ -14,13 +14,18 @@ PartialInjection is the type the package takes and returns, and its
 product is the general one.  Hot loops multiply by fixed elements on
 images as bytes instead, 0 where undefined, translating them by `byte_table`;
 `enumerate_monoid` returns such bytes, those of each element's inverse, as
-the keys of an insertion-ordered dict.
+the keys of an insertion-ordered dict.  Its breadth-first search tries x * g
+only when g is a tree edge of x's suffix, the element spelt by x's first
+word less its first letter (Froidure and Pin, 1997): any other product has
+a shortlex-smaller word and was reached before.  So it makes about one
+product per element, in the full search's order.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -232,18 +237,49 @@ def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> d
     reached first, and the products of one x in generator order.  Raises
     ValueError above degree 255, and EnumerationCapExceeded as soon as the
     closure would outgrow ``cap``.
+
+    Most products are never tried (Froidure and Pin, "Algorithms for
+    computing finite semigroups", 1997).  The search first reaches x by its
+    shortlex-least word w(x) = a w(s), a the first letter; s is the suffix
+    of x.  (s, g) is a tree edge when s * g was new as s was walked.  The
+    search tries x * g only along the tree edges of x's suffix: otherwise
+    s * g has a word v shortlex-below w(s) g, so a v reaches x * g before
+    w(x) g does, and skipping the product loses no element and moves none.
+    A new x * g has suffix s * g, the child of s along g.  Suffixes lie one
+    word length back, so the walk goes a level at a time and keeps the state
+    of two: each element's suffix position in the last level, and the first
+    child and tree-edge mask of each element of the last level.
     """
     tables = [byte_table(g.inverse()) for g in build_generators(fam).values()]
     unit = bytes(range(1, fam.degree + 1))
     seen: dict[bytes, None] = {unit: None}
-    queue = deque([unit])
-    while queue:
-        inverse = queue.popleft()
-        for table in tables:
-            y = inverse.translate(table)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
-                seen[y] = None
-                queue.append(y)
+    # Tree-edge mask -> (bit, table, rank of the bit in the mask) per edge;
+    # the unit's mask, -1, tries every generator and ranks each child 0, the
+    # unit's own position, as the suffix of all of them.
+    steps = {-1: tuple((1 << i, table, 0) for i, table in enumerate(tables))}
+    # Masks outgrow a 4-byte int from 32 generators on.
+    masks_of = list if len(tables) > 31 else partial(array, "i")
+    level, suffix = [unit], array("i", [0])
+    first, masks = array("i", [0]), masks_of([-1])
+    while level:
+        nxt: list[bytes] = []
+        nxt_suffix, nxt_first, nxt_masks = array("i"), array("i"), masks_of()
+        for x, s in zip(level, suffix):
+            nxt_first.append(len(nxt))
+            base, mask, tree = first[s], masks[s], 0
+            edges = steps.get(mask)
+            if edges is None:
+                bits = [i for i in range(len(tables)) if mask >> i & 1]
+                edges = steps[mask] = tuple((1 << i, tables[i], k) for k, i in enumerate(bits))
+            for bit, table, k in edges:
+                y = x.translate(table)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
+                    seen[y] = None
+                    nxt.append(y)
+                    nxt_suffix.append(base + k)
+                    tree |= bit
+            nxt_masks.append(tree)
+        level, suffix, first, masks = nxt, nxt_suffix, nxt_first, nxt_masks
     return seen

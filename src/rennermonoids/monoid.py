@@ -220,16 +220,22 @@ class RennerMonoid:
             raise RuntimeError("normal decomposition does not reproduce its input")
         return NormalForm(w1, e, w2)
 
+    def _check_degree(self, nf: NormalForm) -> None:
+        """Raise `degree mismatch: n != d` for the first factor of nf, in the
+        order w1, e, w2, whose degree d is not the engine's n."""
+        n = len(self._unit)
+        for p in (nf.w1, nf.e.idem, nf.w2):
+            if len(p.image) != n:
+                raise ValueError(f"degree mismatch: {n} != {len(p.image)}")
+
     def _image(self, nf: NormalForm) -> bytes:
         """The image bytes of w1 * e * w2: those of w2, translated by the
         tables of e and w1.  The table of an idempotent outside this
         engine's lattice is built on the call.  Each factor must have the
         engine's degree."""
         w1, idem, w2 = nf.w1.image, nf.e.idem.image, nf.w2.image
-        n = len(self._unit)
-        if not len(w1) == len(idem) == len(w2) == n:
-            d = next(len(p) for p in (w1, idem, w2) if len(p) != n)
-            raise ValueError(f"degree mismatch: {n} != {d}")
+        if not len(w1) == len(idem) == len(w2) == len(self._unit):
+            self._check_degree(nf)
         table = self._idem_tables.get(idem) or byte_table(nf.e.idem)
         return bytes(w2).translate(table).translate(bytes.maketrans(self._unit, bytes(w1)))
 
@@ -244,17 +250,34 @@ class RennerMonoid:
         return self._decompose(self._image(b).translate(a_table))
 
     def length(self, nf: NormalForm) -> int:
-        return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
+        """len(w1) + len(w2).  A factor of another degree is named as in
+        `multiply`: e's degree is compared, and the group lookups of w1 and
+        w2 fail on theirs."""
+        if len(nf.e.idem.image) != len(self._unit):
+            self._check_degree(nf)
+        try:
+            return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
+        except ValueError:
+            self._check_degree(nf)
+            raise
 
     def length_of_element(self, x: PartialInjection) -> int:
         return self.length(self.normal_decompose(x))
 
     def canonical_word(self, nf: NormalForm) -> tuple[GeneratorName, ...]:
-        """The canonical word: fixed reduced word of w1, then e, then that of w2."""
-        parts = [GeneratorName.s(i) for i in self.weyl.reduced_word(nf.w1)]
+        """The canonical word: fixed reduced word of w1, then e, then that of
+        w2.  A factor of another degree is named as in `length`."""
+        if len(nf.e.idem.image) != len(self._unit):
+            self._check_degree(nf)
+        try:
+            left, right = self.weyl.reduced_word(nf.w1), self.weyl.reduced_word(nf.w2)
+        except ValueError:
+            self._check_degree(nf)
+            raise
+        parts = [GeneratorName.s(i) for i in left]
         if nf.e.name is not None:
             parts.append(nf.e.name)
-        parts.extend(GeneratorName.s(i) for i in self.weyl.reduced_word(nf.w2))
+        parts.extend(GeneratorName.s(i) for i in right)
         return tuple(parts)
 
     def meet_under_domain(self, e: LambdaElement, f: LambdaElement) -> frozenset[PartialInjection]:

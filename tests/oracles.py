@@ -9,7 +9,9 @@ with the engine, so it checks only how `RennerMonoid.multiply` composes,
 against the `PartialInjection` product of the two `value`s.
 `relation_sort_key` and `up_intersection_words` check order, not content:
 the first reads each relation back, the second re-derives the `typemap`
-words pair by pair from `RennerMonoid.reduced_join_domain`.
+words pair by pair from `RennerMonoid.reduced_join_domain`.  `byte_closure`
+acts by `byte_table`s, themselves checked against `PartialInjection`
+products, so it checks only what `enumerate_monoid` skips.
 """
 
 import functools
@@ -20,6 +22,7 @@ from collections import deque
 from math import comb, factorial
 
 from rennermonoids import PartialInjection, build_generators
+from rennermonoids.model import byte_table
 
 
 def rook_monoid_size(n: int) -> int:
@@ -49,6 +52,24 @@ def product_closure(fam):
         x = queue.popleft()
         for g in gens:
             y = x * g
+            if y not in seen:
+                seen[y] = None
+                queue.append(y)
+    return list(seen)
+
+
+def byte_closure(fam):
+    """Breadth-first closure of the generators on the image bytes of
+    inverses, every element times every generator: the full search that
+    `enumerate_monoid` prunes, as the list of its keys in insertion order."""
+    tables = [byte_table(g.inverse()) for g in build_generators(fam).values()]
+    unit = bytes(range(1, fam.degree + 1))
+    seen = {unit: None}
+    queue = deque([unit])
+    while queue:
+        inverse = queue.popleft()
+        for table in tables:
+            y = inverse.translate(table)
             if y not in seen:
                 seen[y] = None
                 queue.append(y)

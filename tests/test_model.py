@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from rennermonoids import (
     enumerate_monoid,
 )
 from rennermonoids.model import byte_table
-from oracles import image_bytes, product_closure, rook_monoid_size, weyl_order
+from oracles import byte_closure, image_bytes, product_closure, rook_monoid_size, weyl_order
 
 S, E, F = GeneratorName.s, GeneratorName.e, GeneratorName.f
 
@@ -182,6 +183,60 @@ def decoded(fam):
 def test_enumeration_order_matches_the_product_closure(family, rank):
     fam = MonoidFamily(family, rank)
     assert list(enumerate_monoid(fam)) == [image_bytes(x.inverse()) for x in product_closure(fam)]
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("D", 5)])
+def test_pruned_closure_matches_the_full_search(family, rank):
+    fam = MonoidFamily(family, rank)
+    assert list(enumerate_monoid(fam)) == byte_closure(fam)
+
+
+def translate_calls(fam):
+    """The `bytes.translate` calls made by one `enumerate_monoid(fam)`,
+    counted on the profiler's c_call events, and the number of elements."""
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "translate" and (
+            arg is bytes.translate or type(getattr(arg, "__self__", None)) is bytes
+        ):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        size = len(enumerate_monoid(fam))
+    finally:
+        sys.setprofile(previous)
+    return calls[0], size
+
+
+@pytest.mark.parametrize("family,rank", [("A", 6), ("B", 4), ("D", 4)])
+def test_closure_tries_about_one_product_per_element(family, rank):
+    """The full search tries every element times every generator: 146,597,
+    125,001 and 106,250 products here, against 13,775, 14,152 and 11,004
+    along tree edges."""
+    calls, size = translate_calls(MonoidFamily(family, rank))
+    assert size - 1 <= calls <= 1.1 * size
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 3), ("B", 3)])
+def test_enumeration_cap_boundary(family, rank):
+    fam = MonoidFamily(family, rank)
+    keys = byte_closure(fam)
+    assert list(enumerate_monoid(fam, cap=len(keys))) == keys
+    message = f"^enumeration cap exceeded: cap={len(keys) - 1}$"
+    with pytest.raises(EnumerationCapExceeded, match=message):
+        enumerate_monoid(fam, cap=len(keys) - 1)
+
+
+def test_enumeration_past_31_generators_reaches_the_cap():
+    """A17 has 33 generators, so its tree-edge masks outgrow a 4-byte int."""
+    fam = MonoidFamily("A", 17)
+    assert len(build_generators(fam)) == 33
+    with pytest.raises(EnumerationCapExceeded, match="cap=2000$"):
+        enumerate_monoid(fam, cap=2000)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("D", 3)])

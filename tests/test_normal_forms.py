@@ -155,6 +155,16 @@ def test_left_mult_names_a_factor_of_another_degree(engine, factor):
         a3.left_mult_generator(1, with_factor_of_a2(a2, a3, factor))
 
 
+@pytest.mark.parametrize("factor", ["w1", "e", "w2"])
+@pytest.mark.parametrize("method", ["length", "canonical_word"])
+def test_length_and_word_name_a_factor_of_another_degree(engine, factor, method):
+    """A2's e would give length 0 and the empty word, and A2's w1 or w2 only
+    `not an element of the unit group`."""
+    a2, a3 = engine("A", 2), engine("A", 3)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
+        getattr(a3, method)(with_factor_of_a2(a2, a3, factor))
+
+
 def corrupt_left_factor(eng, x):
     """Point the stored left-factor entry that x looks up at the identity, so
     that the triple found for x (whose w1 is not the identity) no longer
