@@ -4,64 +4,48 @@ The package models each monoid faithfully inside the rook monoid of
 partial injections, equips it with a finite Coxeter engine, the
 cross-section lattice with type maps, canonical normal forms, a length
 function counting reflection letters, and verified monoid presentations.
+
+Each public name is imported from its module on first use (PEP 562).
 """
 
-from .coxeter import WeylGroup
-from .lattice import CrossSectionLattice, LambdaElement, TypeMap
-from .model import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapExceeded,
-    GeneratorName,
-    MonoidFamily,
-    PartialInjection,
-    build_generators,
-    enumerate_monoid,
-)
-from .monoid import NormalForm, OutsideMonoidError, RennerMonoid
-from .presentation import (
-    CompletenessReport,
-    Presentation,
-    Relation,
-    RelationReport,
-    braid_word,
-    coxeter_pairs,
-    generate_explicit,
-    generate_full,
-    generate_reduced,
-    relation_lines,
-    verify_completeness,
-    verify_relations,
-    word_str,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ENUMERATION_CAP",
-    "CompletenessReport",
-    "CrossSectionLattice",
-    "EnumerationCapExceeded",
-    "GeneratorName",
-    "LambdaElement",
-    "MonoidFamily",
-    "NormalForm",
-    "OutsideMonoidError",
-    "PartialInjection",
-    "Presentation",
-    "Relation",
-    "RelationReport",
-    "RennerMonoid",
-    "TypeMap",
-    "WeylGroup",
-    "braid_word",
-    "build_generators",
-    "coxeter_pairs",
-    "enumerate_monoid",
-    "generate_explicit",
-    "generate_full",
-    "generate_reduced",
-    "relation_lines",
-    "verify_completeness",
-    "verify_relations",
-    "word_str",
-]
+_HOME = {
+    "DEFAULT_ENUMERATION_CAP": "model",
+    "CompletenessReport": "presentation",
+    "CrossSectionLattice": "lattice",
+    "EnumerationCapExceeded": "model",
+    "GeneratorName": "model",
+    "LambdaElement": "lattice",
+    "MonoidFamily": "model",
+    "NormalForm": "monoid",
+    "OutsideMonoidError": "monoid",
+    "PartialInjection": "model",
+    "Presentation": "presentation",
+    "Relation": "presentation",
+    "RelationReport": "presentation",
+    "RennerMonoid": "monoid",
+    "TypeMap": "lattice",
+    "WeylGroup": "coxeter",
+    "braid_word": "presentation",
+    "build_generators": "model",
+    "coxeter_pairs": "presentation",
+    "enumerate_monoid": "model",
+    "generate_explicit": "presentation",
+    "generate_full": "presentation",
+    "generate_reduced": "presentation",
+    "relation_lines": "presentation",
+    "verify_completeness": "presentation",
+    "verify_relations": "presentation",
+    "word_str": "presentation",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

@@ -8,12 +8,12 @@ failed (a RuntimeError from a build-time or per-call self-check, reported as
 stdout closed it before the output was written.
 All diagnostics go to stderr; with --json the payload on stdout is a
 single compact JSON object with family, rank, command, result.
+Only the commands that use them import `presentation` and `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -22,15 +22,6 @@ from typing import Iterator, Sequence
 
 from .model import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, GeneratorName
 from .monoid import NormalForm, OutsideMonoidError, RennerMonoid
-from .presentation import (
-    generate_explicit,
-    generate_full,
-    generate_reduced,
-    relation_lines,
-    verify_completeness,
-    verify_relations,
-    word_str,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,6 +80,8 @@ def _cmd_len(engine: RennerMonoid, args) -> tuple[dict, int]:
 
 
 def _cmd_present(engine: RennerMonoid, args) -> tuple[dict, int]:
+    from .presentation import generate_explicit, generate_full, generate_reduced, relation_lines
+
     pres = {
         "full": generate_full,
         "reduced": generate_reduced,
@@ -106,13 +99,15 @@ def _cmd_present(engine: RennerMonoid, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(engine: RennerMonoid, args) -> tuple[dict, int]:
+    from . import presentation
+
     checks = []
     for flavor, gen in (
-        ("full", generate_full),
-        ("reduced", generate_reduced),
-        ("explicit", generate_explicit),
+        ("full", presentation.generate_full),
+        ("reduced", presentation.generate_reduced),
+        ("explicit", presentation.generate_explicit),
     ):
-        rep = verify_relations(engine, gen(engine))
+        rep = presentation.verify_relations(engine, gen(engine))
         checks.append(
             {
                 "name": f"relations-{flavor}",
@@ -121,7 +116,7 @@ def _cmd_verify(engine: RennerMonoid, args) -> tuple[dict, int]:
                 "failures": len(rep.failures),
             }
         )
-    comp = verify_completeness(engine, args.cap)
+    comp = presentation.verify_completeness(engine, args.cap)
     checks.append(
         {
             "name": "completeness",
@@ -140,6 +135,8 @@ def _cmd_verify(engine: RennerMonoid, args) -> tuple[dict, int]:
 def _cmd_enumerate(engine: RennerMonoid, args) -> tuple[dict, int]:
     if not args.words:
         return {"count": len(engine.inverse_images(args.cap))}, EXIT_OK
+    from .presentation import word_str
+
     elements = engine.elements(args.cap)
     words = [word_str(engine.canonical_word(engine.normal_decompose(x))) for x in elements]
     return {"count": len(elements), "words": words}, EXIT_OK
@@ -148,6 +145,8 @@ def _cmd_enumerate(engine: RennerMonoid, args) -> tuple[dict, int]:
 def _cmd_typemap(engine: RennerMonoid, args) -> tuple[dict, int]:
     """Type maps, then each pair's up-intersections: the join words of the
     reduced presentation, grouped by outer idempotents."""
+    from .presentation import generate_reduced, word_str
+
     lat = engine.lattice
     elems = []
     for e in lat.elements:
@@ -282,6 +281,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CAP
     if args.json:
+        import json
+
         head = {"family": args.family, "rank": args.rank, "command": args.command}
         text = json.dumps({**head, "result": result}, separators=(",", ":")) + "\n"
     else:

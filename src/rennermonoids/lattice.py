@@ -9,14 +9,11 @@ filter them from the Weyl group's masks with the type maps kept here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import WeylGroup
-from .model import GeneratorName, MonoidFamily, PartialInjection
+from .model import GeneratorName, MonoidFamily, PartialInjection, _Value
 
 
-@dataclass(frozen=True)
-class LambdaElement:
+class LambdaElement(_Value):
     """A named idempotent of the cross-section lattice; name None marks the unit."""
 
     name: GeneratorName | None
@@ -27,8 +24,7 @@ class LambdaElement:
         return "1" if self.name is None else str(self.name)
 
 
-@dataclass(frozen=True)
-class TypeMap:
+class TypeMap(_Value):
     """Simple reflections sorted by their action on one idempotent e.
 
     commuting: s with s*e = e*s, the disjoint union of the other two sets;

@@ -24,32 +24,83 @@ product per element, in the full search's order.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import partial
+from operator import eq, ge, gt, le, lt
 from typing import Iterable
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
 _MIN_RANK = {"A": 1, "B": 2, "D": 3}
+_setattr = object.__setattr__
 
 
 class EnumerationCapExceeded(RuntimeError):
     """Raised when a monoid enumeration grows past the configured cap."""
 
 
-@dataclass(frozen=True)
-class MonoidFamily:
+def _compared(op):
+    """A rich comparison of the fields, for instances of the same class only."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(), other._key())
+        return NotImplemented
+
+    return compare
+
+
+class _Value:
+    """An immutable record of the fields its class annotates (its ``__match_args__``):
+    equal only to its own class's instances with equal fields, hashed and
+    pickled as their tuple, and assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__match_args__
+        values += tuple([named.pop(name) for name in fields[len(values) :] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            _setattr(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    __eq__ = _compared(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonoidFamily(_Value):
     """Family letter plus rank; fixes the matrix degree of the model."""
 
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in _MIN_RANK:
-            raise ValueError(f"unknown family {self.family!r}, expected one of A, B, D")
-        lo = _MIN_RANK[self.family]
-        if self.rank < lo:
-            raise ValueError(f"family {self.family} requires rank >= {lo}, got {self.rank}")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _MIN_RANK:
+            raise ValueError(f"unknown family {family!r}, expected one of A, B, D")
+        lo = _MIN_RANK[family]
+        if rank < lo:
+            raise ValueError(f"family {family} requires rank >= {lo}, got {rank}")
+        super().__init__(family, rank)
 
     @property
     def degree(self) -> int:
@@ -70,13 +121,21 @@ class MonoidFamily:
         return order
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorName:
+class GeneratorName(_Value):
     """Symbolic generator: a simple reflection (s), a diagonal idempotent (e),
-    or the extra branch idempotent of family D (f)."""
+    or the extra branch idempotent of family D (f).  Ordered by (kind, index)."""
 
     kind: str
     index: int
+
+    def __init__(self, kind: str, index: int) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "index", index)
+
+    def _key(self) -> tuple[str, int]:
+        return (self.kind, self.index)
+
+    __lt__, __le__, __gt__, __ge__ = map(_compared, (lt, le, gt, ge))
 
     @classmethod
     def s(cls, i: int) -> "GeneratorName":
@@ -94,8 +153,7 @@ class GeneratorName:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class PartialInjection:
+class PartialInjection(_Value):
     """Injective partial self-map of {1, ..., n}.
 
     ``image[j - 1]`` holds the image of j, or None where undefined.  Public
@@ -103,12 +161,14 @@ class PartialInjection:
     injective whenever their operands are, go through `_unchecked`.
     """
 
+    __slots__ = ("image",)
     image: tuple[int | None, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.image)
+    def __init__(self, image: tuple[int | None, ...]) -> None:
+        _setattr(self, "image", image)
+        n = len(image)
         seen = set()
-        for v in self.image:
+        for v in image:
             if v is None:
                 continue
             if not 1 <= v <= n:
@@ -116,6 +176,14 @@ class PartialInjection:
             if v in seen:
                 raise ValueError(f"image value {v} repeated, map is not injective")
             seen.add(v)
+
+    def __eq__(self, other: object) -> bool:  # straight-line, as sets of these are hot
+        if other.__class__ is self.__class__:
+            return self.image == other.image
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.image,))
 
     @property
     def degree(self) -> int:

@@ -13,7 +13,6 @@ bytes of e * w2 to those of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
 from typing import Iterable
@@ -27,20 +26,27 @@ from .model import (
     MonoidFamily,
     PartialInjection,
     _inverted,
+    _setattr,
     _unchecked,
+    _Value,
     build_generators,
     byte_table,
     enumerate_monoid,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(_Value):
     """The canonical triple; equality of normal forms is equality of elements."""
 
+    __slots__ = ("w1", "e", "w2")
     w1: PartialInjection
     e: LambdaElement
     w2: PartialInjection
+
+    def __init__(self, w1: PartialInjection, e: LambdaElement, w2: PartialInjection) -> None:
+        _setattr(self, "w1", w1)
+        _setattr(self, "e", e)
+        _setattr(self, "w2", w2)
 
 
 # `bytes.translate` table taking image bytes to the domain mask: 1 where defined.
@@ -57,8 +63,8 @@ class OutsideMonoidError(ValueError):
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in 4.8-5.2 s and 244 MB on one
-# core of a 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
+# 1.06 million left-factor entries) builds in 4.5-5.5 s and 242 MB on one
+# core of a busy 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 
 
@@ -86,7 +92,7 @@ class RennerMonoid:
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
-        # Keyed by (kind, index): GeneratorName's dataclass hash runs in Python.
+        # Keyed by (kind, index), hashed in C; GeneratorName's __hash__ runs in Python.
         self._tables = {(g.kind, g.index): byte_table(p) for g, p in self.generators.items()}
         self._unit = bytes(range(1, self.fam.degree + 1))
         self.weyl = WeylGroup(

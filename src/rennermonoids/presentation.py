@@ -19,25 +19,22 @@ idempotents in lattice order, then by length, then by letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import countOf
 from typing import Sequence
 
 from .coxeter import WeylGroup
-from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, byte_table
+from .model import DEFAULT_ENUMERATION_CAP, GeneratorName, _Value, byte_table
 from .monoid import RennerMonoid
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     lhs: tuple[GeneratorName, ...]
     rhs: tuple[GeneratorName, ...]
     tag: str
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     family: str
     rank: int
     alphabet: tuple[GeneratorName, ...]
@@ -45,8 +42,7 @@ class Presentation:
     flavor: str
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Value):
     """Outcome of evaluating every relation in the model."""
 
     checked: int
@@ -57,8 +53,7 @@ class RelationReport:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(_Value):
     """Count comparison: enumerated monoid vs admissible normal-form triples."""
 
     family: str

@@ -11,7 +11,9 @@ against the `PartialInjection` product of the two `value`s.
 the first reads each relation back, the second re-derives the `typemap`
 words pair by pair from `RennerMonoid.reduced_join_domain`.  `byte_closure`
 acts by `byte_table`s, themselves checked against `PartialInjection`
-products, so it checks only what `enumerate_monoid` skips.
+products, so it checks only what `enumerate_monoid` skips; `_subgroup`, the
+parabolic subgroup behind the brute-force coset minima, closes its
+reflections by `byte_table`s too.
 """
 
 import functools
@@ -22,7 +24,7 @@ from collections import deque
 from math import comb, factorial
 
 from rennermonoids import PartialInjection, build_generators
-from rennermonoids.model import byte_table
+from rennermonoids.model import _unchecked, byte_table
 
 
 def rook_monoid_size(n: int) -> int:
@@ -189,16 +191,18 @@ def word_costs_01(fam) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _subgroup(weyl, gens):
-    """W_I by breadth-first closure of the products of its reflections."""
-    members = {weyl.identity}
-    queue = [weyl.identity]
+    """W_I by breadth-first closure of the products of its reflections, on
+    image bytes: s_i * w is the bytes of w translated by the table of s_i."""
+    tables = [byte_table(weyl.s(i)) for i in gens]
+    unit = bytes(weyl.identity.image)
+    members, queue = {unit}, [unit]
     for w in queue:
-        for i in gens:
-            v = weyl.s(i) * w
+        for table in tables:
+            v = w.translate(table)
             if v not in members:
                 members.add(v)
                 queue.append(v)
-    return frozenset(members)
+    return frozenset(_unchecked(tuple(w)) for w in members)
 
 
 def descents(weyl, w, side):
@@ -216,10 +220,11 @@ def brute_min_coset(weyl, w, gens, side):
     reduction in the engine well defined.
     """
     sub = _subgroup(weyl, frozenset(gens))
-    coset = {w * h for h in sub} if side == "right" else {h * w for h in sub}
-    lengths = sorted(weyl.length(v) for v in coset)
-    assert lengths.count(lengths[0]) == 1, "coset minimum is not unique"
-    return min(coset, key=weyl.length)
+    coset = [w * h for h in sub] if side == "right" else [h * w for h in sub]
+    lengths = [weyl.length(v) for v in coset]
+    least = min(lengths)
+    assert lengths.count(least) == 1, "coset minimum is not unique"
+    return coset[lengths.index(least)]
 
 
 def brute_min_double_coset(weyl, w, left_gens, right_gens):

@@ -1,4 +1,3 @@
-import dataclasses
 import operator
 import random
 
@@ -133,7 +132,8 @@ def test_decompose_and_multiply_refuse_other_degrees(engine):
 def with_factor_of_a2(a2, a3, factor):
     """A3's identity form with ``factor`` taken from A2's."""
     mine, theirs = a3.normal_decompose(a3.identity), a2.normal_decompose(a2.identity)
-    return dataclasses.replace(mine, **{factor: getattr(theirs, factor)})
+    w1, e, w2 = (getattr(theirs if f == factor else mine, f) for f in ("w1", "e", "w2"))
+    return NormalForm(w1, e, w2)
 
 
 @pytest.mark.parametrize("factor", ["w1", "e"])

@@ -1,4 +1,9 @@
-"""Seeded, bounded property tests on random words at ranks beyond exhaustive reach."""
+"""Seeded, bounded property tests on random words at ranks beyond exhaustive reach.
+
+The algebraic laws also run at the largest ranks the engine builds: A8, B6
+and D6 in the default selection, where the normal-form factors are also
+checked against the brute-force coset minima, and D7 under `exhaustive`.
+"""
 
 import functools
 import operator
@@ -7,10 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rennermonoids import GeneratorName, PartialInjection
-from oracles import product_multiply, value
+from oracles import brute_min_coset, product_multiply, value
 from test_presentation import rewrite
 
 RANKS = [("A", 6), ("B", 4), ("D", 5)]
+# The largest ranks with at most 46,080 units, where the round trip also scans
+# each coset for its minimum; D7 (322,560 units) is left to `exhaustive`.
+LARGEST = [("A", 8), ("B", 6), ("D", 6)]
+LAW_RANKS = [*RANKS, *LARGEST, pytest.param("D", 7, marks=pytest.mark.exhaustive)]
+# One scan per coset, however many examples land in it.
+coset_minimum = functools.lru_cache(maxsize=None)(brute_min_coset)
 
 bounded = settings(max_examples=50, derandomize=True, deadline=None)
 
@@ -50,7 +61,7 @@ def decomposed(data, eng):
     return eng.normal_decompose(eng.evaluate(random_word(data, eng)))
 
 
-@pytest.mark.parametrize("family,rank", RANKS)
+@pytest.mark.parametrize("family,rank", LAW_RANKS)
 @bounded
 @given(data=st.data())
 def test_normal_form_round_trip(engine, family, rank, data):
@@ -59,6 +70,10 @@ def test_normal_form_round_trip(engine, family, rank, data):
     nf = eng.normal_decompose(x)
     assert value(nf) == x
     assert eng.normal_decompose(value(nf)) == nf
+    if (family, rank) in LARGEST:
+        tm = eng.lattice.type_map(nf.e)
+        assert coset_minimum(eng.weyl, nf.w1, tm.absorbing, "right") == nf.w1
+        assert coset_minimum(eng.weyl, nf.w2, tm.commuting, "left") == nf.w2
 
 
 @pytest.mark.parametrize("family,rank", RANKS)
@@ -72,7 +87,7 @@ def test_canonical_word_evaluates_back_with_length_letters(engine, family, rank,
     assert sum(g.kind == "s" for g in word) == eng.length(nf)
 
 
-@pytest.mark.parametrize("family,rank", RANKS)
+@pytest.mark.parametrize("family,rank", LAW_RANKS)
 @bounded
 @given(data=st.data())
 def test_left_mult_generator_agrees_with_decomposition(engine, family, rank, data):
@@ -84,7 +99,7 @@ def test_left_mult_generator_agrees_with_decomposition(engine, family, rank, dat
     assert expected == eng.multiply(eng.normal_decompose(eng.generators[GeneratorName.s(i)]), nf)
 
 
-@pytest.mark.parametrize("family,rank", RANKS)
+@pytest.mark.parametrize("family,rank", LAW_RANKS)
 @bounded
 @given(data=st.data())
 def test_multiply_equals_the_product_oracle(engine, family, rank, data):
@@ -93,7 +108,7 @@ def test_multiply_equals_the_product_oracle(engine, family, rank, data):
     assert eng.multiply(a, b) == product_multiply(eng, a, b)
 
 
-@pytest.mark.parametrize("family,rank", RANKS)
+@pytest.mark.parametrize("family,rank", LAW_RANKS)
 @bounded
 @given(data=st.data())
 def test_multiply_is_associative(engine, family, rank, data):
@@ -128,7 +143,7 @@ def test_rewrite_to_normal_is_idempotent(engine, family, rank, data):
     assert rewrite(eng, canon) == canon
 
 
-@pytest.mark.parametrize("family,rank", RANKS)
+@pytest.mark.parametrize("family,rank", LAW_RANKS)
 @bounded
 @given(data=st.data())
 def test_length_is_subadditive_and_idempotent_letters_never_raise_it(
