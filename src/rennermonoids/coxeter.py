@@ -3,27 +3,31 @@
 Lengths come from breadth-first search over the Cayley graph of the simple
 reflections, so the same machinery serves every embedding (types A, B, D)
 with no per-type inversion formula.  The search walks image bytes, taking
-s * w by one `bytes.translate` table per generator.  Only the left action
-is stored, with each element's inverse: the right side comes through
-inversion, as w * s = (s * w^-1)^-1, so the right descents of w are the
-left descents of w^-1.  Coset queries are walks and bitmask tests (bit i
-for s_i) on integer-indexed tables: w is minimal in w * W_I iff no right
-descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
+s * w by one `bytes.translate` table per generator, and keeps each
+element as those bytes alone: a PartialInjection is decoded only where a
+method returns one.  Only the left action is stored, with each element's
+inverse: the right side comes through inversion, as w * s = (s * w^-1)^-1,
+so the right descents of w are the left descents of w^-1.  Coset queries
+are walks and bitmask tests (bit i for s_i) on integer-indexed tables: w
+is minimal in w * W_I iff no right descent of w lies in I (Bjorner-Brenti,
+GTM 231, 2.4).
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .model import PartialInjection, _unchecked, byte_table
+from .model import PartialInjection, _decoded, _encoded, byte_table
 
 
 def _mask(I: Iterable[int]) -> int:
     return sum(1 << i for i in set(I))
 
 
-def _descents(step: dict[int, list[int]], length: list[int]) -> list[int]:
+def _descents(step: dict[int, array], length: list[int]) -> list[int]:
     """Per element, the mask of generators whose step shortens it."""
     desc = [0] * len(length)
     for i, col in step.items():
@@ -34,22 +38,23 @@ def _descents(step: dict[int, list[int]], length: list[int]) -> list[int]:
 class WeylGroup:
     """The group generated by the simple-reflection permutations.
 
-    Elements are total PartialInjection values at the boundary and indices
-    0..|W|-1 inside (0 is the identity, then breadth-first order).  Descent
-    sets stay internal bitmasks: callers ask whether w is minimal in its
-    coset as min_coset_rep(w, I, side) == w.  Immutable after construction.
-    Raises ValueError above degree 255, which has no byte encoding.
+    Elements are PartialInjections or image bytes at the boundary and
+    indices into ``images`` inside (0 is the identity, then breadth-first
+    order).  Descent sets stay internal bitmasks: callers ask whether w is
+    minimal in its coset as min_coset_rep(w, I, side) == w.  Immutable after
+    construction.  Raises ValueError above degree 255, which has no byte
+    encoding.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int):
         self.degree = degree
         self._s = dict(sorted(gens.items()))
-        left: dict[int, list[int]] = {i: [] for i in self._s}
+        left: dict[int, array] = {i: array("i") for i in self._s}
         steps = [(i, byte_table(s), left[i]) for i, s in self._s.items()]
         unit = bytes(range(1, degree + 1))
         images = [unit]
         index = {unit: 0}
-        length, support = [0], [0]
+        length = [0]
         for k, w in enumerate(images):
             for i, table, col in steps:
                 v = w.translate(table)
@@ -58,18 +63,17 @@ class WeylGroup:
                     j = index[v] = len(images)
                     images.append(v)
                     length.append(length[k] + 1)
-                    support.append(support[k] | 1 << i)
                 col.append(j)
+        self.images, self._index = images, index
         self._inv = [index[unit.translate(bytes.maketrans(w, unit))] for w in images]
-        self._index = {w: k for k, w in enumerate(map(tuple, images))}
-        self.elements: tuple[PartialInjection, ...] = tuple(map(_unchecked, self._index))
-        self._length, self._support, self._step = length, support, left
+        self._length, self._step = length, left
         ldesc = _descents(left, length)
         self._desc = {"left": ldesc, "right": [ldesc[j] for j in self._inv]}
+        self._desc_counts = Counter(ldesc)
 
     @property
     def identity(self) -> PartialInjection:
-        return self.elements[0]
+        return _decoded(self.images[0])
 
     @property
     def s_indices(self) -> tuple[int, ...]:
@@ -82,19 +86,23 @@ class WeylGroup:
             raise ValueError(f"no simple reflection with index {i}") from None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self) -> Iterator[PartialInjection]:
-        return iter(self.elements)
+        return map(_decoded, self.images)
 
     def __contains__(self, w: object) -> bool:
-        return isinstance(w, PartialInjection) and w.image in self._index
+        if isinstance(w, PartialInjection) and w.degree == self.degree:
+            w = _encoded(w)
+        return w.__class__ is bytes and w in self._index
 
-    def _at(self, w: PartialInjection) -> int:
-        try:
-            return self._index[w.image]
-        except KeyError:
-            raise ValueError(f"not an element of the unit group: {w!r}") from None
+    def index(self, w: PartialInjection | bytes) -> int:
+        """The k with images[k] the image bytes of w."""
+        k = self._index.get(w if w.__class__ is bytes else _encoded(w))
+        if k is None:
+            w = _decoded(w) if w.__class__ is bytes else w
+            raise ValueError(f"not an element of the unit group: {w!r}")
+        return k
 
     def _side(self, side: str) -> list[int]:
         """The descent masks on that side."""
@@ -102,13 +110,13 @@ class WeylGroup:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         return self._desc[side]
 
-    def length(self, w: PartialInjection) -> int:
-        return self._length[self._at(w)]
+    def length(self, w: PartialInjection | bytes) -> int:
+        return self._length[self.index(w)]
 
-    def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
+    def reduced_word(self, w: PartialInjection | bytes) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""
         desc, step = self._desc["left"], self._step
-        k = self._at(w)
+        k = self.index(w)
         word: list[int] = []
         while ds := desc[k]:
             i = (ds & -ds).bit_length() - 1
@@ -117,16 +125,16 @@ class WeylGroup:
         return tuple(word)
 
     def min_coset_rep(
-        self, w: PartialInjection, I: Iterable[int], side: str = "right"
+        self, w: PartialInjection | bytes, I: Iterable[int], side: str = "right"
     ) -> PartialInjection:
         """Minimal-length element of W_I * w (side "left") or w * W_I (side
         "right"), the latter the inverse of the minimum of W_I * w^-1."""
         right = self._side(side) is self._desc["right"]
         desc, step, inv, m = self._desc["left"], self._step, self._inv, _mask(I)
-        k = inv[self._at(w)] if right else self._at(w)
+        k = inv[self.index(w)] if right else self.index(w)
         while ds := desc[k] & m:
             k = step[(ds & -ds).bit_length() - 1][k]
-        return self.elements[inv[k] if right else k]
+        return _decoded(self.images[inv[k] if right else k])
 
     def double_coset_minima(
         self, J: Iterable[int], I: Iterable[int]
@@ -138,17 +146,24 @@ class WeylGroup:
         which never adds a right descent, so the walk reaches all of them.
         Then drops those with a left descent in J.
         """
-        left, right = self._desc["left"], self._desc["right"]
-        mj, mi = _mask(J), _mask(I)
+        left, mj = self._desc["left"], _mask(J)
+        walk = self._walk(self._step, self._desc["right"], _mask(I))
+        return frozenset([_decoded(self.images[k]) for k in walk if not left[k] & mj])
+
+    def _walk(self, I: Iterable[int], masks: list[int], m: int) -> list[int]:
+        """The indices reached from 1 by left steps s_i, i in I, through the
+        k with no bit of m in masks[k], in the order reached."""
+        I = set(I)
+        cols = [col for i, col in self._step.items() if i in I]
         seen = {0}
         queue = [0]
         for k in queue:
-            for col in self._step.values():
+            for col in cols:
                 j = col[k]
-                if j not in seen and not right[j] & mi:
+                if j not in seen and not masks[j] & m:
                     seen.add(j)
                     queue.append(j)
-        return frozenset(self.elements[k] for k in queue if not left[k] & mj)
+        return queue
 
     def coxeter_exponent(self, i: int, j: int) -> int:
         """m(i, j): the order of s_i * s_j, which is that of its conjugate
@@ -159,24 +174,29 @@ class WeylGroup:
             k, m = sj[si[k]], m + 1
         return m
 
-    def in_parabolic(self, w: PartialInjection, I: Iterable[int]) -> bool:
+    def in_parabolic(self, w: PartialInjection | bytes, I: Iterable[int]) -> bool:
         """Whether w lies in W_I: whether I holds the letters of a reduced word of w."""
-        return not self._support[self._at(w)] & ~_mask(I)
+        return set(self.reduced_word(w)) <= set(I)
 
     def parabolic(self, I: Iterable[int]) -> frozenset[PartialInjection]:
-        """All elements of the standard parabolic subgroup generated by I."""
-        outside = ~_mask(I)
-        return frozenset(compress(self.elements, [not m & outside for m in self._support]))
+        """All elements of the standard parabolic subgroup generated by I,
+        walked from 1 by left steps by I: |W_I| elements visited."""
+        return frozenset([_decoded(self.images[k]) for k in self._walk(I, self._desc["left"], 0)])
 
     def parabolic_order(self, I: Iterable[int]) -> int:
-        """|W_I|, counted from the support masks without building the subgroup."""
-        outside = ~_mask(I)
-        return [m & outside for m in self._support].count(0)
+        """|W_I|: |W| over the number of cosets W_I * w, one per w with no left
+        descent in I, counted by descent mask without building the subgroup."""
+        m = _mask(I)
+        return len(self.images) // sum([n for d, n in self._desc_counts.items() if not d & m])
+
+    def coset_minima_images(self, I: Iterable[int], side: str = "right") -> list[bytes]:
+        """The image bytes of the w minimal in w * W_I or W_I * w (side
+        "left"), in index order: those with no descent on that side in I."""
+        m = _mask(I)
+        return list(compress(self.images, [not d & m for d in self._side(side)]))
 
     def iter_coset_minima(
         self, I: Iterable[int], side: str = "right"
     ) -> Iterator[PartialInjection]:
-        """The w minimal in w * W_I or W_I * w (side "left"), in index order:
-        those with no descent on that side in I."""
-        m = _mask(I)
-        return compress(self.elements, [not d & m for d in self._side(side)])
+        """The elements of `coset_minima_images`, decoded."""
+        return map(_decoded, self.coset_minima_images(I, side))

@@ -98,6 +98,8 @@ class MonoidFamily(_Value):
         if family not in _MIN_RANK:
             raise ValueError(f"unknown family {family!r}, expected one of A, B, D")
         lo = _MIN_RANK[family]
+        if rank.__class__ is not int:
+            raise ValueError(f"family {family} requires an int rank, got {rank!r}")
         if rank < lo:
             raise ValueError(f"family {family} requires rank >= {lo}, got {rank}")
         super().__init__(family, rank)
@@ -171,6 +173,8 @@ class PartialInjection(_Value):
         for v in image:
             if v is None:
                 continue
+            if v.__class__ is not int:
+                raise ValueError(f"image value {v!r} is not an int")
             if not 1 <= v <= n:
                 raise ValueError(f"image value {v} out of range 1..{n}")
             if v in seen:
@@ -244,6 +248,21 @@ def _unchecked(
     return p
 
 
+def _encoded(p: PartialInjection) -> bytes:
+    """The image bytes of p, 0 where undefined."""
+    if len(p.image) > 255:
+        raise ValueError(f"degree {p.degree} has no byte encoding, the limit is 255")
+    try:
+        return bytes(p.image)
+    except TypeError:  # None where undefined
+        return bytes([v or 0 for v in p.image])
+
+
+def _decoded(image: bytes) -> PartialInjection:
+    """The element with these image bytes, 0 where undefined."""
+    return _unchecked(tuple([v or None for v in image]) if 0 in image else tuple(image))
+
+
 def _inverted(image: tuple[int | None, ...] | bytes) -> PartialInjection:
     """Inverse of the injective map with this image, None or 0 where undefined."""
     img: list[int | None] = [None] * len(image)
@@ -289,9 +308,7 @@ def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]
 def byte_table(p: PartialInjection) -> bytes:
     """p as a `bytes.translate` table: entry v is p(v), and entry 0 and those
     where p is undefined are 0.  It carries the image bytes of x to p * x's."""
-    if p.degree > 255:
-        raise ValueError(f"degree {p.degree} has no byte encoding, the limit is 255")
-    return bytes([0, *[v or 0 for v in p.image]]).ljust(256, b"\0")
+    return (b"\0" + _encoded(p)).ljust(256, b"\0")
 
 
 def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[bytes, None]:

@@ -8,7 +8,8 @@ idempotent letters cost nothing, and on normal forms the length is just
 len(w1) + len(w2) in the Coxeter sense.  Queries run on image bytes, 0
 where undefined, as `byte_table` encodes them: the domain mask of x picks
 e and w2, its nonzero bytes pick w1, and w1's table must carry the stored
-bytes of e * w2 to those of x.
+bytes of e * w2 to those of x.  The tables hold the unit group's own image
+bytes for w1 and w2, and normal forms carry bytes, never a PartialInjection.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .model import (
     GeneratorName,
     MonoidFamily,
     PartialInjection,
+    _decoded,
+    _encoded,
     _inverted,
     _setattr,
-    _unchecked,
     _Value,
     build_generators,
     byte_table,
@@ -36,26 +38,30 @@ from .model import (
 
 
 class NormalForm(_Value):
-    """The canonical triple; equality of normal forms is equality of elements."""
+    """The canonical triple; equality of normal forms is equality of elements.
+    w1 and w2, given as PartialInjections or image bytes, are held as bytes."""
 
-    __slots__ = ("w1", "e", "w2")
+    __slots__ = ("_w1", "e", "_w2")
     w1: PartialInjection
     e: LambdaElement
     w2: PartialInjection
 
-    def __init__(self, w1: PartialInjection, e: LambdaElement, w2: PartialInjection) -> None:
-        _setattr(self, "w1", w1)
+    def __init__(self, w1: PartialInjection | bytes, e: LambdaElement, w2: PartialInjection | bytes):
+        _setattr(self, "_w1", w1 if w1.__class__ is bytes else _encoded(w1))
         _setattr(self, "e", e)
-        _setattr(self, "w2", w2)
+        _setattr(self, "_w2", w2 if w2.__class__ is bytes else _encoded(w2))
+
+    @property
+    def w1(self) -> PartialInjection:
+        return _decoded(self._w1)
+
+    @property
+    def w2(self) -> PartialInjection:
+        return _decoded(self._w2)
 
 
 # `bytes.translate` table taking image bytes to the domain mask: 1 where defined.
 _DOMAIN = bytes([0, *[1] * 255])
-
-
-def _decoded(image: bytes) -> PartialInjection:
-    """The element with these image bytes, 0 where undefined."""
-    return _unchecked(tuple([v or None for v in image]))
 
 
 class OutsideMonoidError(ValueError):
@@ -63,7 +69,7 @@ class OutsideMonoidError(ValueError):
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in 4.5-5.5 s and 242 MB on one
+# 1.06 million left-factor entries) builds in 2.4-3.6 s and 170 MB on one
 # core of a busy 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
 MAX_WEYL_ORDER = 350_000
 
@@ -106,12 +112,12 @@ class RennerMonoid:
         # right-minimal modulo the absorbing parabolic of e.  Two units agree
         # on dom(e) exactly when they differ by an element of that parabolic,
         # so no key repeats.
-        left_factor: dict[str, dict[bytes, PartialInjection]] = {}
+        left_factor: dict[str, dict[bytes, bytes]] = {}
         for e in self.lattice.nonunit:
-            minima = list(self.weyl.iter_coset_minima(self.lattice.type_map(e).absorbing))
+            minima = self.weyl.coset_minima_images(self.lattice.type_map(e).absorbing)
             at = [j - 1 for j in e.idem.domain()]
             pick = itemgetter(*at) if len(at) > 1 else lambda image: [image[j] for j in at]
-            table = left_factor[e.token] = {bytes(pick(w.image)): w for w in minima}
+            table = left_factor[e.token] = {bytes(pick(w)): w for w in minima}
             if len(table) != len(minima):
                 raise RuntimeError(f"two left factors under {e.token} agree on its domain")
 
@@ -139,8 +145,8 @@ class RennerMonoid:
                     raise RuntimeError(
                         f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
                     )
-                ew2 = bytes(w2.image).translate(idem)
-                orbit[dom] = (e, w2, ew2, left_factor.get(e.token))
+                w2 = self.weyl.images[self.weyl.index(w2)]
+                orbit[dom] = (e, w2, w2.translate(idem), left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
             self._conjugation.update((c[2].translate(_DOMAIN), c) for c in orbit.values())
 
@@ -200,7 +206,7 @@ class RennerMonoid:
         unit group.  Nothing is memoised: a call reads only tables fixed at
         construction, so threads may share an engine freely.
         """
-        if x.degree != self.fam.degree:
+        if len(x.image) != len(self._unit):
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
         return self._decompose(bytes([v or 0 for v in x.image]))
 
@@ -214,7 +220,7 @@ class RennerMonoid:
             )
         e, w2, ew2, table = conj
         if table is None:
-            w1 = w if (w := _unchecked(tuple(image))) in self.weyl else None
+            w1 = image if image in self.weyl else None
         else:
             w1 = table.get(image.replace(b"\0", b""))
         if w1 is None:
@@ -222,64 +228,51 @@ class RennerMonoid:
                 f"no unit-group permutation extends {_decoded(image)!r};"
                 " element is outside the monoid"
             )
-        if ew2.translate(bytes.maketrans(self._unit, bytes(w1.image))) != image:
+        if ew2.translate(bytes.maketrans(self._unit, w1)) != image:
             raise RuntimeError("normal decomposition does not reproduce its input")
         return NormalForm(w1, e, w2)
 
-    def _check_degree(self, nf: NormalForm) -> None:
-        """Raise `degree mismatch: n != d` for the first factor of nf, in the
-        order w1, e, w2, whose degree d is not the engine's n."""
+    def _factors(self, nf: NormalForm) -> tuple[bytes, tuple, bytes]:
+        """The bytes of w1, the image of e and the bytes of w2.  Raises
+        `degree mismatch: n != d` for the first of them, in that order,
+        whose degree d is not the engine's n."""
+        w1, idem, w2 = nf._w1, nf.e.idem.image, nf._w2
         n = len(self._unit)
-        for p in (nf.w1, nf.e.idem, nf.w2):
-            if len(p.image) != n:
-                raise ValueError(f"degree mismatch: {n} != {len(p.image)}")
+        if not len(w1) == len(idem) == len(w2) == n:
+            d = next(len(f) for f in (w1, idem, w2) if len(f) != n)
+            raise ValueError(f"degree mismatch: {n} != {d}")
+        return w1, idem, w2
 
     def _image(self, nf: NormalForm) -> bytes:
         """The image bytes of w1 * e * w2: those of w2, translated by the
         tables of e and w1.  The table of an idempotent outside this
-        engine's lattice is built on the call.  Each factor must have the
-        engine's degree."""
-        w1, idem, w2 = nf.w1.image, nf.e.idem.image, nf.w2.image
-        if not len(w1) == len(idem) == len(w2) == len(self._unit):
-            self._check_degree(nf)
+        engine's lattice is built on the call."""
+        w1, idem, w2 = self._factors(nf)
         table = self._idem_tables.get(idem) or byte_table(nf.e.idem)
-        return bytes(w2).translate(table).translate(bytes.maketrans(self._unit, bytes(w1)))
+        return w2.translate(table).translate(bytes.maketrans(self._unit, w1))
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
         """a * b: the image bytes of b translated by a's, then decomposed."""
-        da, db = len(a.w2.image), len(b.w2.image)
+        da, db = len(a._w2), len(b._w2)
         if da != db:
             raise ValueError(f"degree mismatch: {da} != {db}")
-        if db != self.fam.degree:
+        if db != len(self._unit):
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {db}")
         a_table = bytes.maketrans(self._unit, self._image(a))
         return self._decompose(self._image(b).translate(a_table))
 
     def length(self, nf: NormalForm) -> int:
-        """len(w1) + len(w2).  A factor of another degree is named as in
-        `multiply`: e's degree is compared, and the group lookups of w1 and
-        w2 fail on theirs."""
-        if len(nf.e.idem.image) != len(self._unit):
-            self._check_degree(nf)
-        try:
-            return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
-        except ValueError:
-            self._check_degree(nf)
-            raise
+        """len(w1) + len(w2)."""
+        w1, _, w2 = self._factors(nf)
+        return self.weyl.length(w1) + self.weyl.length(w2)
 
     def length_of_element(self, x: PartialInjection) -> int:
         return self.length(self.normal_decompose(x))
 
     def canonical_word(self, nf: NormalForm) -> tuple[GeneratorName, ...]:
-        """The canonical word: fixed reduced word of w1, then e, then that of
-        w2.  A factor of another degree is named as in `length`."""
-        if len(nf.e.idem.image) != len(self._unit):
-            self._check_degree(nf)
-        try:
-            left, right = self.weyl.reduced_word(nf.w1), self.weyl.reduced_word(nf.w2)
-        except ValueError:
-            self._check_degree(nf)
-            raise
+        """The canonical word: fixed reduced word of w1, then e, then that of w2."""
+        w1, _, w2 = self._factors(nf)
+        left, right = self.weyl.reduced_word(w1), self.weyl.reduced_word(w2)
         parts = [GeneratorName.s(i) for i in left]
         if nf.e.name is not None:
             parts.append(nf.e.name)

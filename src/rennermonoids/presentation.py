@@ -228,7 +228,8 @@ def verify_completeness(
     triple values) pins down that evaluation is a bijection from triples to
     the monoid.  Both sides are counted in the closure's own encoding, the
     image bytes of inverses (`RennerMonoid.inverse_images`), so no element
-    is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes
+    is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes (W's
+    own, as the inverses of the right coset minima are the left ones)
     translated by the `byte_table` of w2^-1 * e.  The monoid is held once:
     each value is marked True in the closure's own dict, in place, and is
     freed on the spot if it is already a key; a value outside the closure
@@ -242,7 +243,7 @@ def verify_completeness(
     breakdown = []
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
-        w1_inv = [bytes(w.inverse().image) for w in weyl.iter_coset_minima(tm.absorbing, "right")]
+        w1_inv = weyl.coset_minima_images(tm.absorbing, "left")
         w2s = list(weyl.iter_coset_minima(tm.commuting, "left"))
         breakdown.append((e.token, len(w1_inv), len(w2s)))
         total += len(w1_inv) * len(w2s)

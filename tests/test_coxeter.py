@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -156,11 +160,13 @@ def test_tables_match_tuple_construction(family, rank):
     gens, degree = _weyl_gens(family, rank)
     weyl = WeylGroup(gens, degree)
     ref = tuple_weyl_tables(gens, degree)
-    assert weyl.elements == ref["elements"]
-    assert list(weyl._index.items()) == list(ref["index"].items())
+    assert tuple(weyl) == ref["elements"]
+    assert weyl.images == list(map(bytes, ref["index"]))
+    assert [(tuple(w), k) for w, k in weyl._index.items()] == list(ref["index"].items())
     assert weyl._length == ref["length"]
-    assert weyl._support == ref["support"]
-    assert list(weyl._step.items()) == list(ref["step"]["left"].items())
+    # the letters of each reduced word: the supports the BFS would store
+    assert [sum({1 << i for i in weyl.reduced_word(w)}) for w in weyl.images] == ref["support"]
+    assert [(i, list(col)) for i, col in weyl._step.items()] == list(ref["step"]["left"].items())
     assert list(_derived_right_steps(weyl).items()) == list(ref["step"]["right"].items())
     for side in ("left", "right"):
         assert weyl._desc[side] == ref["desc"][side]
@@ -171,11 +177,39 @@ def test_right_steps_are_products(family, rank):
     # the derived right[i][k] indexes w_k * s_i, computed here by the
     # PartialInjection product
     weyl = WeylGroup(*_weyl_gens(family, rank))
+    elements = tuple(weyl)
     for i, col in _derived_right_steps(weyl).items():
-        for k, w in enumerate(weyl.elements):
-            assert weyl.elements[col[k]] == w * weyl.s(i)
+        for k, w in enumerate(elements):
+            assert elements[col[k]] == w * weyl.s(i)
 
 
 def test_degree_above_byte_limit_is_refused():
     with pytest.raises(ValueError, match="255"):
         WeylGroup({1: PartialInjection.transpositions(256, (1, 2))}, 256)
+
+
+# D7, the largest unit group the engine builds, peaks at 170 MB (Python 3.11,
+# Linux) with W and its tables on image bytes, and at 242-244 MB with a
+# PartialInjection per unit.  The bound leaves 20 MB, about 12%, for other
+# machines and Python builds.
+D7_PEAK_MB = 190
+
+
+@pytest.mark.exhaustive
+def test_d7_engine_build_peak_rss():
+    """Build D7's engine in a fresh interpreter and read its peak resident
+    set size (`ru_maxrss`: kilobytes on Linux, bytes on macOS)."""
+    code = (
+        "import resource\nfrom rennermonoids import RennerMonoid\nRennerMonoid('D', 7)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    peak_mb = int(out) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < D7_PEAK_MB, f"D7 engine build peaked at {peak_mb:.1f} MB"

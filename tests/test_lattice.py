@@ -176,14 +176,14 @@ def test_parabolic_examples(engine):
     expected = frozenset({weyl3.identity, weyl3.s(2)})
     assert weyl3.parabolic(tm1.commuting) == expected
     assert weyl3.parabolic(tm1.absorbing) == expected
-    assert weyl3.parabolic(tm_unit.commuting) == frozenset(weyl3.elements)
+    assert weyl3.parabolic(tm_unit.commuting) == frozenset(weyl3)
     assert weyl3.parabolic(tm_unit.absorbing) == frozenset({weyl3.identity})
 
 
 def test_coset_minima_examples(engine):
     eng = engine("A", 2)
     lat, weyl = eng.lattice, eng.weyl
-    all_w = frozenset(weyl.elements)
+    all_w = frozenset(weyl)
     one = frozenset({weyl.identity})
     unit, e1, e0 = (lat.type_map(by_token(lat, t)) for t in ("1", "e1", "e0"))
     assert frozenset(weyl.iter_coset_minima(unit.commuting, "left")) == one

@@ -9,6 +9,7 @@ from rennermonoids import (
     GeneratorName,
     MonoidFamily,
     PartialInjection,
+    RennerMonoid,
     build_generators,
     enumerate_monoid,
 )
@@ -44,6 +45,15 @@ def test_family_validation():
         MonoidFamily("C", 3)
 
 
+@pytest.mark.parametrize("rank", [True, 3.0, "3", None])
+def test_family_and_engine_refuse_a_rank_that_is_not_an_int(rank):
+    message = f"^family A requires an int rank, got {rank!r}$"
+    with pytest.raises(ValueError, match=message):
+        MonoidFamily("A", rank)
+    with pytest.raises(ValueError, match=message):
+        RennerMonoid("A", rank)
+
+
 def test_partial_injection_validation():
     with pytest.raises(ValueError):
         PartialInjection((1, 1))
@@ -60,6 +70,13 @@ def test_partial_injection_validation():
 def test_public_construction_still_validates(image):
     with pytest.raises(ValueError, match="repeated|out of range"):
         PartialInjection(image)
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_image_values_must_be_ints(value):
+    """A float or a bool equal to 1 is refused, not taken as the point 1."""
+    with pytest.raises(ValueError, match=f"^image value {value!r} is not an int$"):
+        PartialInjection((value, 2, 3, 4, 5, 6))
 
 
 @st.composite

@@ -165,12 +165,45 @@ def test_length_and_word_name_a_factor_of_another_degree(engine, factor, method)
         getattr(a3, method)(with_factor_of_a2(a2, a3, factor))
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 3)])
+def test_forms_built_from_partial_injections_work_like_the_engines(engine, elements, family, rank):
+    """The engine's forms read w1 and w2 as PartialInjections of its unit
+    group; a caller's NormalForm of those equals the engine's form and gives
+    the same answers."""
+    eng = engine(family, rank)
+    units = set(eng.weyl)
+    xs = elements(family, rank)[::7]
+    nfs = [eng.normal_decompose(x) for x in xs]
+    rebuilt = [NormalForm(nf.w1, nf.e, nf.w2) for nf in nfs]
+    for x, nf, built in zip(xs, nfs, rebuilt):
+        assert type(nf.w1) is PartialInjection and nf.w1 in units and nf.w2 in units
+        assert nf.w1 * nf.e.idem * nf.w2 == x
+        assert built == nf and hash(built) == hash(nf) and repr(built) == repr(nf)
+        assert eng.length(built) == eng.length(nf)
+        assert eng.canonical_word(built) == eng.canonical_word(nf)
+        assert eng.multiply(built, rebuilt[0]) == eng.multiply(nf, nfs[0])
+        for i in eng.weyl.s_indices:
+            assert eng.left_mult_generator(i, built) == eng.left_mult_generator(i, nf)
+
+
+@pytest.mark.parametrize("method", ["length", "canonical_word"])
+def test_length_and_word_name_a_factor_outside_the_unit_group(engine, method):
+    """B2's W holds no transposition of 1 and 2 alone."""
+    b2 = engine("B", 2)
+    nf = b2.normal_decompose(b2.identity)
+    outsider = PartialInjection((2, 1, 3, 4))
+    message = r"^not an element of the unit group: PartialInjection\(\{1: 2, 2: 1, 3: 3, 4: 4\}"
+    for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
+        with pytest.raises(ValueError, match=message):
+            getattr(b2, method)(built)
+
+
 def corrupt_left_factor(eng, x):
     """Point the stored left-factor entry that x looks up at the identity, so
     that the triple found for x (whose w1 is not the identity) no longer
     evaluates to it."""
     table = eng._conjugation[bytes([1 if v else 0 for v in x.image])][3]
-    table[bytes(filter(None, x.image))] = eng.identity
+    table[bytes(filter(None, x.image))] = eng.weyl.images[0]
 
 
 def test_decompose_and_multiply_refuse_a_corrupted_table():

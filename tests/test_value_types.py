@@ -170,3 +170,16 @@ def test_generator_names_do_not_order_against_tuples(op):
         op(GeneratorName("s", 1), ("s", 2))
     with pytest.raises(TypeError):
         op(("s", 2), GeneratorName("s", 1))
+
+
+def test_normal_form_factors_read_back_as_partial_injections():
+    """w1 and w2 are held as image bytes and read back as the PartialInjections
+    given, undefined points included; the same factors given as bytes make an
+    equal form with the same hash, repr and pickle."""
+    w1, w2 = PartialInjection((2, None)), PartialInjection((1, 2))
+    nf = NormalForm(w1, _e1(), w2)
+    assert type(nf.w1) is PartialInjection and nf.w1 == w1 and nf.w2 == w2
+    from_bytes = NormalForm(bytes([2, 0]), _e1(), bytes([1, 2]))
+    assert from_bytes == nf and hash(from_bytes) == hash(nf) and repr(from_bytes) == repr(nf)
+    assert pickle.dumps(from_bytes) == pickle.dumps(nf)
+    assert pickle.loads(pickle.dumps(nf)).w1 == w1
