@@ -54,11 +54,15 @@ def parse_word(text: str, engine: RennerMonoid) -> list[GeneratorName]:
 
 
 def _nf_result(engine: RennerMonoid, nf: NormalForm) -> dict:
+    """The canonical word, split at e's letter into the words of w1 and w2;
+    the unit has no letter, and its w2 is 1."""
+    word = [str(g) for g in engine.canonical_word(nf)]
+    cut = len(word) if nf.e.name is None else word.index(nf.e.token)
     return {
-        "word": [str(g) for g in engine.canonical_word(nf)],
-        "w1": [f"s{i}" for i in engine.weyl.reduced_word(nf.w1)],
+        "word": word,
+        "w1": word[:cut],
         "e": nf.e.token,
-        "w2": [f"s{i}" for i in engine.weyl.reduced_word(nf.w2)],
+        "w2": word[cut + 1 :],
         "length": engine.length(nf),
     }
 

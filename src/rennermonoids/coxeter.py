@@ -4,13 +4,13 @@ Lengths come from breadth-first search over the Cayley graph of the simple
 reflections, so the same machinery serves every embedding (types A, B, D)
 with no per-type inversion formula.  The search walks image bytes, taking
 s * w by one `bytes.translate` table per generator, and keeps each
-element as those bytes alone: a PartialInjection is decoded only where a
-method returns one.  Only the left action is stored, with each element's
-inverse: the right side comes through inversion, as w * s = (s * w^-1)^-1,
-so the right descents of w are the left descents of w^-1.  Coset queries
-are walks and bitmask tests (bit i for s_i) on integer-indexed tables: w
-is minimal in w * W_I iff no right descent of w lies in I (Bjorner-Brenti,
-GTM 231, 2.4).
+element as those bytes alone: a PartialInjection the methods take is
+looked up by its bytes, and one they return wraps W's own.  Only the left
+action is stored, with each element's inverse: the right side comes
+through inversion, as w * s = (s * w^-1)^-1, so the right descents of w
+are the left descents of w^-1.  Coset queries are walks and bitmask tests
+(bit i for s_i) on integer-indexed tables: w is minimal in w * W_I iff no
+right descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .model import PartialInjection, _decoded, _encoded, byte_table
+from .model import PartialInjection, _unchecked, byte_table
 
 
 def _mask(I: Iterable[int]) -> int:
@@ -38,16 +38,14 @@ def _descents(step: dict[int, array], length: list[int]) -> list[int]:
 class WeylGroup:
     """The group generated by the simple-reflection permutations.
 
-    Elements are PartialInjections or image bytes at the boundary and
-    indices into ``images`` inside (0 is the identity, then breadth-first
-    order).  Descent sets stay internal bitmasks: callers ask whether w is
-    minimal in its coset as min_coset_rep(w, I, side) == w.  Immutable after
-    construction.  Raises ValueError above degree 255, which has no byte
-    encoding.
+    Elements are PartialInjections at the boundary and indices into
+    ``images``, their image bytes, inside (0 is the identity, then
+    breadth-first order).  Descent sets stay internal bitmasks: callers ask
+    whether w is minimal in its coset as min_coset_rep(w, I, side) == w.
+    Immutable after construction.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int):
-        self.degree = degree
         self._s = dict(sorted(gens.items()))
         left: dict[int, array] = {i: array("i") for i in self._s}
         steps = [(i, byte_table(s), left[i]) for i, s in self._s.items()]
@@ -73,7 +71,7 @@ class WeylGroup:
 
     @property
     def identity(self) -> PartialInjection:
-        return _decoded(self.images[0])
+        return _unchecked(self.images[0])
 
     @property
     def s_indices(self) -> tuple[int, ...]:
@@ -89,18 +87,15 @@ class WeylGroup:
         return len(self.images)
 
     def __iter__(self) -> Iterator[PartialInjection]:
-        return map(_decoded, self.images)
+        return map(_unchecked, self.images)
 
     def __contains__(self, w: object) -> bool:
-        if isinstance(w, PartialInjection) and w.degree == self.degree:
-            w = _encoded(w)
-        return w.__class__ is bytes and w in self._index
+        return isinstance(w, PartialInjection) and w._b in self._index
 
-    def index(self, w: PartialInjection | bytes) -> int:
+    def index(self, w: PartialInjection) -> int:
         """The k with images[k] the image bytes of w."""
-        k = self._index.get(w if w.__class__ is bytes else _encoded(w))
+        k = self._index.get(w._b)
         if k is None:
-            w = _decoded(w) if w.__class__ is bytes else w
             raise ValueError(f"not an element of the unit group: {w!r}")
         return k
 
@@ -110,10 +105,10 @@ class WeylGroup:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         return self._desc[side]
 
-    def length(self, w: PartialInjection | bytes) -> int:
+    def length(self, w: PartialInjection) -> int:
         return self._length[self.index(w)]
 
-    def reduced_word(self, w: PartialInjection | bytes) -> tuple[int, ...]:
+    def reduced_word(self, w: PartialInjection) -> tuple[int, ...]:
         """The fixed reduced word: repeatedly strip the lowest left descent."""
         desc, step = self._desc["left"], self._step
         k = self.index(w)
@@ -125,7 +120,7 @@ class WeylGroup:
         return tuple(word)
 
     def min_coset_rep(
-        self, w: PartialInjection | bytes, I: Iterable[int], side: str = "right"
+        self, w: PartialInjection, I: Iterable[int], side: str = "right"
     ) -> PartialInjection:
         """Minimal-length element of W_I * w (side "left") or w * W_I (side
         "right"), the latter the inverse of the minimum of W_I * w^-1."""
@@ -134,7 +129,7 @@ class WeylGroup:
         k = inv[self.index(w)] if right else self.index(w)
         while ds := desc[k] & m:
             k = step[(ds & -ds).bit_length() - 1][k]
-        return _decoded(self.images[inv[k] if right else k])
+        return _unchecked(self.images[inv[k] if right else k])
 
     def double_coset_minima(
         self, J: Iterable[int], I: Iterable[int]
@@ -148,7 +143,7 @@ class WeylGroup:
         """
         left, mj = self._desc["left"], _mask(J)
         walk = self._walk(self._step, self._desc["right"], _mask(I))
-        return frozenset([_decoded(self.images[k]) for k in walk if not left[k] & mj])
+        return frozenset([_unchecked(self.images[k]) for k in walk if not left[k] & mj])
 
     def _walk(self, I: Iterable[int], masks: list[int], m: int) -> list[int]:
         """The indices reached from 1 by left steps s_i, i in I, through the
@@ -174,14 +169,14 @@ class WeylGroup:
             k, m = sj[si[k]], m + 1
         return m
 
-    def in_parabolic(self, w: PartialInjection | bytes, I: Iterable[int]) -> bool:
+    def in_parabolic(self, w: PartialInjection, I: Iterable[int]) -> bool:
         """Whether w lies in W_I: whether I holds the letters of a reduced word of w."""
         return set(self.reduced_word(w)) <= set(I)
 
     def parabolic(self, I: Iterable[int]) -> frozenset[PartialInjection]:
         """All elements of the standard parabolic subgroup generated by I,
         walked from 1 by left steps by I: |W_I| elements visited."""
-        return frozenset([_decoded(self.images[k]) for k in self._walk(I, self._desc["left"], 0)])
+        return frozenset([_unchecked(self.images[k]) for k in self._walk(I, self._desc["left"], 0)])
 
     def parabolic_order(self, I: Iterable[int]) -> int:
         """|W_I|: |W| over the number of cosets W_I * w, one per w with no left
@@ -198,5 +193,5 @@ class WeylGroup:
     def iter_coset_minima(
         self, I: Iterable[int], side: str = "right"
     ) -> Iterator[PartialInjection]:
-        """The elements of `coset_minima_images`, decoded."""
-        return map(_decoded, self.coset_minima_images(I, side))
+        """The elements of `coset_minima_images`, wrapped."""
+        return map(_unchecked, self.coset_minima_images(I, side))

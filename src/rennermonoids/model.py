@@ -10,11 +10,12 @@ Families:
   B  the symplectic family, matrix degree n = 2 * rank,
   D  the even special orthogonal family, matrix degree n = 2 * rank.
 
-PartialInjection is the type the package takes and returns, and its
-product is the general one.  Hot loops multiply by fixed elements on
-images as bytes instead, 0 where undefined, translating them by `byte_table`;
-`enumerate_monoid` returns such bytes, those of each element's inverse, as
-the keys of an insertion-ordered dict.  Its breadth-first search tries x * g
+PartialInjection is the type the package takes and returns, and it holds
+its image as bytes, 0 where undefined (so at most degree 255): a product is
+one `bytes.translate` by the left factor's `byte_table`.  Hot loops run the
+same translations on bare bytes, unwrapped; `enumerate_monoid` returns
+such bytes, those of each element's inverse, as the keys of an
+insertion-ordered dict.  Its breadth-first search tries x * g
 only when g is a tree edge of x's suffix, the element spelt by x's first
 word less its first letter (Froidure and Pin, 1997): any other product has
 a shortlex-smaller word and was reached before.  So it makes about one
@@ -156,19 +157,22 @@ class GeneratorName(_Value):
 
 
 class PartialInjection(_Value):
-    """Injective partial self-map of {1, ..., n}.
+    """Injective partial self-map of {1, ..., n}, n at most 255.
 
-    ``image[j - 1]`` holds the image of j, or None where undefined.  Public
-    construction checks injectivity; products and inverses, which are
-    injective whenever their operands are, go through `_unchecked`.
+    Held as its image bytes: byte j - 1 is the image of j, 0 where undefined,
+    as `byte_table` and the engine's tables read them; ``image`` reads them
+    back as a tuple, None where undefined.  Public construction checks the
+    image once; products and inverses, which are injective whenever their
+    operands are, wrap their bytes with `_unchecked`.
     """
 
-    __slots__ = ("image",)
+    __slots__ = ("_b",)
     image: tuple[int | None, ...]
 
     def __init__(self, image: tuple[int | None, ...]) -> None:
-        _setattr(self, "image", image)
         n = len(image)
+        if n > 255:
+            raise ValueError(f"degree {n} has no byte encoding, the limit is 255")
         seen = set()
         for v in image:
             if v is None:
@@ -180,37 +184,43 @@ class PartialInjection(_Value):
             if v in seen:
                 raise ValueError(f"image value {v} repeated, map is not injective")
             seen.add(v)
+        _setattr(self, "_b", bytes([v or 0 for v in image]))
+
+    @property
+    def image(self) -> tuple[int | None, ...]:
+        b = self._b
+        return tuple([v or None for v in b]) if 0 in b else tuple(b)
 
     def __eq__(self, other: object) -> bool:  # straight-line, as sets of these are hot
         if other.__class__ is self.__class__:
-            return self.image == other.image
+            return self._b == other._b
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.image,))
+        return hash(self._b)
 
     @property
     def degree(self) -> int:
-        return len(self.image)
+        return len(self._b)
 
     def __call__(self, j: int) -> int | None:
-        return self.image[j - 1]
+        return self._b[j - 1] or None
 
     def __mul__(self, other: "PartialInjection") -> "PartialInjection":
         """Matrix product: apply ``other`` first, then ``self``."""
         if not isinstance(other, PartialInjection):
             return NotImplemented
-        img, right = self.image, other.image
-        if len(img) != len(right):
-            raise ValueError(f"degree mismatch: {len(img)} != {len(right)}")
-        return _unchecked(tuple([None if v is None else img[v - 1] for v in right]))
+        a, b = self._b, other._b
+        if len(a) != len(b):
+            raise ValueError(f"degree mismatch: {len(a)} != {len(b)}")
+        return _unchecked(b.translate(byte_table(self)))
 
     def inverse(self) -> "PartialInjection":
         """Reverse all arrows; the unique semigroup inverse."""
-        return _inverted(self.image)
+        return _inverted(self._b)
 
     def domain(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.image, start=1) if v is not None)
+        return tuple([j for j, v in enumerate(self._b, start=1) if v])
 
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
@@ -231,45 +241,30 @@ class PartialInjection(_Value):
         return cls(tuple(img))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{j}: {v}" for j, v in enumerate(self.image, start=1) if v is not None
-        )
+        body = ", ".join(f"{j}: {v}" for j, v in enumerate(self._b, start=1) if v)
         return f"PartialInjection({{{body}}}, degree={self.degree})"
 
 
 def _unchecked(
-    image: tuple[int | None, ...],
-    _new=object.__new__,
-    _set=PartialInjection.image.__set__,
+    image: bytes, _new=object.__new__, _set=PartialInjection._b.__set__
 ) -> PartialInjection:
-    """A PartialInjection from an image known to be injective and in range."""
+    """The PartialInjection with these image bytes, known to be injective and
+    in range."""
     p = _new(PartialInjection)
     _set(p, image)
     return p
 
 
-def _encoded(p: PartialInjection) -> bytes:
-    """The image bytes of p, 0 where undefined."""
-    if len(p.image) > 255:
-        raise ValueError(f"degree {p.degree} has no byte encoding, the limit is 255")
-    try:
-        return bytes(p.image)
-    except TypeError:  # None where undefined
-        return bytes([v or 0 for v in p.image])
+_POINTS = bytes(range(1, 256))
 
 
-def _decoded(image: bytes) -> PartialInjection:
-    """The element with these image bytes, 0 where undefined."""
-    return _unchecked(tuple([v or None for v in image]) if 0 in image else tuple(image))
-
-
-def _inverted(image: tuple[int | None, ...] | bytes) -> PartialInjection:
-    """Inverse of the injective map with this image, None or 0 where undefined."""
-    img: list[int | None] = [None] * len(image)
-    for j, v in enumerate(image, start=1):
-        if v:
-            img[v - 1] = j
-    return _unchecked(tuple(img))
+def _inverted(image: bytes) -> PartialInjection:
+    """Inverse of the injective map with these image bytes: the points'
+    bytes, translated by a table that sends every point to 0 and then each
+    defined value back to its point."""
+    n = len(image)
+    points = _POINTS[:n]
+    return _unchecked(points.translate(bytes.maketrans(points + image, bytes(n) + points)))
 
 
 def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]:
@@ -308,7 +303,7 @@ def build_generators(fam: MonoidFamily) -> dict[GeneratorName, PartialInjection]
 def byte_table(p: PartialInjection) -> bytes:
     """p as a `bytes.translate` table: entry v is p(v), and entry 0 and those
     where p is undefined are 0.  It carries the image bytes of x to p * x's."""
-    return (b"\0" + _encoded(p)).ljust(256, b"\0")
+    return (b"\0" + p._b).ljust(256, b"\0")
 
 
 def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[bytes, None]:

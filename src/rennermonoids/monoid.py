@@ -9,7 +9,7 @@ len(w1) + len(w2) in the Coxeter sense.  Queries run on image bytes, 0
 where undefined, as `byte_table` encodes them: the domain mask of x picks
 e and w2, its nonzero bytes pick w1, and w1's table must carry the stored
 bytes of e * w2 to those of x.  The tables hold the unit group's own image
-bytes for w1 and w2, and normal forms carry bytes, never a PartialInjection.
+bytes for w1 and w2, and a normal form's factors wrap the bytes looked up.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .model import (
     GeneratorName,
     MonoidFamily,
     PartialInjection,
-    _decoded,
-    _encoded,
     _inverted,
     _setattr,
+    _unchecked,
     _Value,
     build_generators,
     byte_table,
@@ -39,25 +38,17 @@ from .model import (
 
 class NormalForm(_Value):
     """The canonical triple; equality of normal forms is equality of elements.
-    w1 and w2, given as PartialInjections or image bytes, are held as bytes."""
+    A decomposition's w1 and w2 wrap the image bytes it read, copying none."""
 
-    __slots__ = ("_w1", "e", "_w2")
+    __slots__ = ("w1", "e", "w2")
     w1: PartialInjection
     e: LambdaElement
     w2: PartialInjection
 
-    def __init__(self, w1: PartialInjection | bytes, e: LambdaElement, w2: PartialInjection | bytes):
-        _setattr(self, "_w1", w1 if w1.__class__ is bytes else _encoded(w1))
+    def __init__(self, w1: PartialInjection, e: LambdaElement, w2: PartialInjection):
+        _setattr(self, "w1", w1)
         _setattr(self, "e", e)
-        _setattr(self, "_w2", w2 if w2.__class__ is bytes else _encoded(w2))
-
-    @property
-    def w1(self) -> PartialInjection:
-        return _decoded(self._w1)
-
-    @property
-    def w2(self) -> PartialInjection:
-        return _decoded(self._w2)
+        _setattr(self, "w2", w2)
 
 
 # `bytes.translate` table taking image bytes to the domain mask: 1 where defined.
@@ -122,18 +113,19 @@ class RennerMonoid:
                 raise RuntimeError(f"two left factors under {e.token} agree on its domain")
 
         # Domain u(dom e) of each conjugate u * e * u^-1 of a lattice element,
-        # by a breadth-first walk of its orbit -> (e, w2, image bytes of
-        # e * w2, e's left-factor table, None for the unit), keyed by the
-        # mask of that domain once the orbit is walked.  w2^-1 carries dom(e)
-        # onto the domain in increasing order (w2 has no left descent among
-        # the reflections swapping neighbours in dom(e)), so for an x with that
-        # domain the values of x * w2^-1 on dom(e) are those of x, in order.
-        self._idem_tables = {e.idem.image: byte_table(e.idem) for e in self.lattice.elements}
+        # by a breadth-first walk of its orbit -> (e, w2 on W's own bytes,
+        # image bytes of e * w2, e's left-factor table, None for the unit),
+        # keyed by the mask of that domain once the orbit is walked.  w2^-1
+        # carries dom(e) onto the domain in increasing order (w2 has no left
+        # descent among the reflections swapping neighbours in dom(e)), so for
+        # an x with that domain the values of x * w2^-1 on dom(e) are those of
+        # x, in order.
+        self._idem_tables = {e.idem._b: byte_table(e.idem) for e in self.lattice.elements}
         self._conjugation: dict[bytes, tuple] = {}
         reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
             commuting = self.lattice.type_map(e).commuting
-            idem = self._idem_tables[e.idem.image]
+            idem = self._idem_tables[e.idem._b]
             orbit: dict[tuple[int, ...], tuple] = {}
             queue = [(e.idem.domain(), self.identity, self.identity)]
             for dom, s, u in queue:
@@ -145,8 +137,7 @@ class RennerMonoid:
                     raise RuntimeError(
                         f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
                     )
-                w2 = self.weyl.images[self.weyl.index(w2)]
-                orbit[dom] = (e, w2, w2.translate(idem), left_factor.get(e.token))
+                orbit[dom] = (e, w2, w2._b.translate(idem), left_factor.get(e.token))
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
             self._conjugation.update((c[2].translate(_DOMAIN), c) for c in orbit.values())
 
@@ -192,7 +183,7 @@ class RennerMonoid:
         except (KeyError, AttributeError):
             g = next(g for g in word if g not in self.generators)
             raise ValueError(f"unknown generator {g}") from None
-        return _decoded(reduce(bytes.translate, reversed(tables), self._unit))
+        return _unchecked(reduce(bytes.translate, reversed(tables), self._unit))
 
     def normal_decompose(self, x: PartialInjection) -> NormalForm:
         """The unique canonical triple evaluating to x.
@@ -206,9 +197,9 @@ class RennerMonoid:
         unit group.  Nothing is memoised: a call reads only tables fixed at
         construction, so threads may share an engine freely.
         """
-        if len(x.image) != len(self._unit):
+        if len(x._b) != len(self._unit):
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
-        return self._decompose(bytes([v or 0 for v in x.image]))
+        return self._decompose(x._b)
 
     def _decompose(self, image: bytes) -> NormalForm:
         """`normal_decompose` of the element with these image bytes, checked
@@ -216,27 +207,27 @@ class RennerMonoid:
         conj = self._conjugation.get(image.translate(_DOMAIN))
         if conj is None:
             raise OutsideMonoidError(
-                f"domain {_decoded(image).domain()} matches no conjugate of a lattice idempotent"
+                f"domain {_unchecked(image).domain()} matches no conjugate of a lattice idempotent"
             )
         e, w2, ew2, table = conj
         if table is None:
-            w1 = image if image in self.weyl else None
+            w1 = image if image in self.weyl._index else None
         else:
             w1 = table.get(image.replace(b"\0", b""))
         if w1 is None:
             raise OutsideMonoidError(
-                f"no unit-group permutation extends {_decoded(image)!r};"
+                f"no unit-group permutation extends {_unchecked(image)!r};"
                 " element is outside the monoid"
             )
         if ew2.translate(bytes.maketrans(self._unit, w1)) != image:
             raise RuntimeError("normal decomposition does not reproduce its input")
-        return NormalForm(w1, e, w2)
+        return NormalForm(_unchecked(w1), e, w2)
 
-    def _factors(self, nf: NormalForm) -> tuple[bytes, tuple, bytes]:
-        """The bytes of w1, the image of e and the bytes of w2.  Raises
+    def _factors(self, nf: NormalForm) -> tuple[bytes, bytes, bytes]:
+        """The image bytes of w1, e and w2.  Raises
         `degree mismatch: n != d` for the first of them, in that order,
         whose degree d is not the engine's n."""
-        w1, idem, w2 = nf._w1, nf.e.idem.image, nf._w2
+        w1, idem, w2 = nf.w1._b, nf.e.idem._b, nf.w2._b
         n = len(self._unit)
         if not len(w1) == len(idem) == len(w2) == n:
             d = next(len(f) for f in (w1, idem, w2) if len(f) != n)
@@ -253,7 +244,7 @@ class RennerMonoid:
 
     def multiply(self, a: NormalForm, b: NormalForm) -> NormalForm:
         """a * b: the image bytes of b translated by a's, then decomposed."""
-        da, db = len(a._w2), len(b._w2)
+        da, db = len(a.w2._b), len(b.w2._b)
         if da != db:
             raise ValueError(f"degree mismatch: {da} != {db}")
         if db != len(self._unit):
@@ -263,16 +254,16 @@ class RennerMonoid:
 
     def length(self, nf: NormalForm) -> int:
         """len(w1) + len(w2)."""
-        w1, _, w2 = self._factors(nf)
-        return self.weyl.length(w1) + self.weyl.length(w2)
+        self._factors(nf)
+        return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
 
     def length_of_element(self, x: PartialInjection) -> int:
         return self.length(self.normal_decompose(x))
 
     def canonical_word(self, nf: NormalForm) -> tuple[GeneratorName, ...]:
         """The canonical word: fixed reduced word of w1, then e, then that of w2."""
-        w1, _, w2 = self._factors(nf)
-        left, right = self.weyl.reduced_word(w1), self.weyl.reduced_word(w2)
+        self._factors(nf)
+        left, right = self.weyl.reduced_word(nf.w1), self.weyl.reduced_word(nf.w2)
         parts = [GeneratorName.s(i) for i in left]
         if nf.e.name is not None:
             parts.append(nf.e.name)

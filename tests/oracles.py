@@ -202,7 +202,7 @@ def _subgroup(weyl, gens):
             if v not in members:
                 members.add(v)
                 queue.append(v)
-    return frozenset(_unchecked(tuple(w)) for w in members)
+    return frozenset(_unchecked(w) for w in members)
 
 
 def descents(weyl, w, side):

@@ -1,5 +1,6 @@
 """Every public function, method and class in `src/` has a caller in the
-package or in `perfbench/`.
+package or in `perfbench/`, and every private module-level helper has one
+in the package.
 
 A method is used where its name is loaded as an attribute (`obj.name`); a
 module-level function or class also where its name is loaded bare.  So a
@@ -54,3 +55,20 @@ def test_every_public_name_in_src_has_a_caller():
     }
     flagged = sorted(unused - ALLOWED.keys())
     assert not flagged, f"public names with no caller in src/ or perfbench/: {flagged}"
+
+
+def test_every_private_helper_in_src_has_a_load_in_src():
+    """A private module-level function or class is loaded somewhere in `src/`,
+    so a helper that a change leaves without a caller is flagged too."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    attrs, names = _loads(sources)
+    unused = sorted(
+        name
+        for path in sources
+        for name, is_method in _public_definitions(path)
+        if not is_method
+        and name.startswith("_")
+        and not name.startswith("__")
+        and not (attrs[name] or names[name])
+    )
+    assert not unused, f"private helpers with no load in src/: {unused}"

@@ -381,3 +381,53 @@ def test_json_output_is_whole_when_a_signal_interrupts_a_blocked_write():
         out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
     assert len(json.loads(out)["result"]["words"]) == 10625
+
+
+# Prints a digest of every output of the commands whose results come from
+# sets of PartialInjections, then a digest of the iteration order of one
+# such set, which a PartialInjection's hash (that of its image bytes) makes
+# depend on the interpreter's hash seed.
+_DIGEST_CHILD = """
+import contextlib, hashlib, io
+import rennermonoids.cli as cli
+from rennermonoids import RennerMonoid
+
+outputs = hashlib.sha256()
+for family, rank in (("A", 3), ("B", 3), ("D", 4)):
+    for argv in (["present", "--flavor", "full"], ["present", "--flavor", "reduced"],
+                 ["typemap"], ["verify"], ["enumerate", "--words"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--family", family, "--rank", str(rank), *argv])
+        outputs.update(f"{code}:{out.getvalue()}".encode())
+print(outputs.hexdigest())
+order = [p.image for p in RennerMonoid("A", 3).weyl.parabolic({1, 2})]
+print(hashlib.sha256(repr(order).encode()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """`present`, `typemap`, `verify` and `enumerate --words` print the same
+    bytes under two hash seeds, although the sets they read iterate in
+    another order under each."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-S", "-c", _DIGEST_CHILD],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    results = [child.communicate(timeout=120) for child in children]
+    assert [(child.returncode, err) for child, (_, err) in zip(children, results)] == [(0, "")] * 2
+    (outputs0, order0), (outputs1, order1) = (out.split() for out, _ in results)
+    assert order0 != order1
+    assert outputs0 == outputs1

@@ -165,7 +165,7 @@ def test_tables_match_tuple_construction(family, rank):
     assert [(tuple(w), k) for w, k in weyl._index.items()] == list(ref["index"].items())
     assert weyl._length == ref["length"]
     # the letters of each reduced word: the supports the BFS would store
-    assert [sum({1 << i for i in weyl.reduced_word(w)}) for w in weyl.images] == ref["support"]
+    assert [sum({1 << i for i in weyl.reduced_word(w)}) for w in weyl] == ref["support"]
     assert [(i, list(col)) for i, col in weyl._step.items()] == list(ref["step"]["left"].items())
     assert list(_derived_right_steps(weyl).items()) == list(ref["step"]["right"].items())
     for side in ("left", "right"):

@@ -109,6 +109,17 @@ def test_unchecked_products_equal_checked_construction(pair):
     assert inverse == checked and hash(inverse) == hash(checked)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(rook_maps))
+def test_image_reads_back_as_constructed(image):
+    """The image bytes read back as the tuple given, None where undefined,
+    through `image`, calls and `domain`."""
+    p = PartialInjection(image)
+    assert p.image == image and p.degree == len(image)
+    assert [p(j) for j in range(1, len(image) + 1)] == list(image)
+    assert p.domain() == tuple(j for j, v in enumerate(image, start=1) if v is not None)
+
+
 def test_generators_rook_rank3():
     gens = build_generators(MonoidFamily("A", 3))
     assert gens[S(1)] == PartialInjection.transpositions(3, (1, 2))
@@ -276,6 +287,25 @@ def test_enumeration_cap_error_names_cap():
 def test_degree_above_255_is_refused_before_enumerating():
     with pytest.raises(ValueError, match="degree 256"):
         enumerate_monoid(MonoidFamily("A", 256), cap=5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: PartialInjection(tuple(range(1, n + 1))),
+        PartialInjection.identity,
+        lambda n: PartialInjection.restriction(n, [1]),
+        lambda n: PartialInjection.transpositions(n, (1, 2)),
+    ],
+    ids=["constructor", "identity", "restriction", "transpositions"],
+)
+def test_degree_limit_holds_at_construction(build):
+    """A PartialInjection holds its image as bytes, so every way to build one
+    refuses degree 256 and names the limit; degree 255 still builds."""
+    with pytest.raises(ValueError, match="^degree 256 has no byte encoding, the limit is 255$"):
+        build(256)
+    p = build(255)
+    assert p.degree == 255 and p(255) in (255, None) and p.inverse().inverse() == p
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
