@@ -142,7 +142,7 @@ class WeylGroup:
         Then drops those with a left descent in J.
         """
         left, mj = self._desc["left"], _mask(J)
-        walk = self._walk(self._step, self._desc["right"], _mask(I))
+        walk = self._walk(self._s, self._desc["right"], _mask(I))
         return frozenset([_unchecked(self.images[k]) for k in walk if not left[k] & mj])
 
     def _walk(self, I: Iterable[int], masks: list[int], m: int) -> list[int]:

@@ -27,7 +27,6 @@ from .model import (
     MonoidFamily,
     PartialInjection,
     _inverted,
-    _setattr,
     _unchecked,
     _Value,
     build_generators,
@@ -44,11 +43,6 @@ class NormalForm(_Value):
     w1: PartialInjection
     e: LambdaElement
     w2: PartialInjection
-
-    def __init__(self, w1: PartialInjection, e: LambdaElement, w2: PartialInjection):
-        _setattr(self, "w1", w1)
-        _setattr(self, "e", e)
-        _setattr(self, "w2", w2)
 
 
 # `bytes.translate` table taking image bytes to the domain mask: 1 where defined.
@@ -89,8 +83,11 @@ class RennerMonoid:
                 f" limit {MAX_WEYL_ORDER}"
             )
         self.generators = build_generators(self.fam)
-        # Keyed by (kind, index), hashed in C; GeneratorName's __hash__ runs in Python.
-        self._tables = {(g.kind, g.index): byte_table(p) for g, p in self.generators.items()}
+        # Keyed by kind, then index, each hashed in C: no GeneratorName.__hash__
+        # call and no (kind, index) tuple per letter.
+        self._tables: dict[str, dict[int, bytes]] = {"s": {}, "e": {}, "f": {}}
+        for g, p in self.generators.items():
+            self._tables[g.kind][g.index] = byte_table(p)
         self._unit = bytes(range(1, self.fam.degree + 1))
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
@@ -177,13 +174,13 @@ class RennerMonoid:
         """Product of generator letters, word read left to right: the letters'
         byte tables, looked up left to right so that the leftmost unknown
         letter is named, act right to left on the identity's image bytes."""
-        word = tuple(word)
+        word, tables = tuple(word), self._tables
         try:
-            tables = [self._tables[g.kind, g.index] for g in word]
+            steps = [tables[g.kind][g.index] for g in word]
         except (KeyError, AttributeError):
             g = next(g for g in word if g not in self.generators)
             raise ValueError(f"unknown generator {g}") from None
-        return _unchecked(reduce(bytes.translate, reversed(tables), self._unit))
+        return _unchecked(reduce(bytes.translate, reversed(steps), self._unit))
 
     def normal_decompose(self, x: PartialInjection) -> NormalForm:
         """The unique canonical triple evaluating to x.
@@ -201,9 +198,18 @@ class RennerMonoid:
             raise ValueError(f"degree mismatch: expected {self.fam.degree}, got {x.degree}")
         return self._decompose(x._b)
 
-    def _decompose(self, image: bytes) -> NormalForm:
+    def _decompose(
+        self,
+        image: bytes,
+        _new=object.__new__,
+        _b=PartialInjection._b.__set__,
+        _w1=NormalForm.w1.__set__,
+        _e=NormalForm.e.__set__,
+        _w2=NormalForm.w2.__set__,
+    ) -> NormalForm:
         """`normal_decompose` of the element with these image bytes, checked
-        as value = x: w1's table carries the bytes of e * w2 to ``image``."""
+        as value = x: w1's table carries the bytes of e * w2 to ``image``.
+        The form and its w1 are filled through their slots, with no `__init__`."""
         conj = self._conjugation.get(image.translate(_DOMAIN))
         if conj is None:
             raise OutsideMonoidError(
@@ -221,7 +227,12 @@ class RennerMonoid:
             )
         if ew2.translate(bytes.maketrans(self._unit, w1)) != image:
             raise RuntimeError("normal decomposition does not reproduce its input")
-        return NormalForm(_unchecked(w1), e, w2)
+        nf, p = _new(NormalForm), _new(PartialInjection)
+        _b(p, w1)
+        _w1(nf, p)
+        _e(nf, e)
+        _w2(nf, w2)
+        return nf
 
     def _factors(self, nf: NormalForm) -> tuple[bytes, bytes, bytes]:
         """The image bytes of w1, e and w2.  Raises
@@ -253,9 +264,13 @@ class RennerMonoid:
         return self._decompose(self._image(b).translate(a_table))
 
     def length(self, nf: NormalForm) -> int:
-        """len(w1) + len(w2)."""
-        self._factors(nf)
-        return self.weyl.length(nf.w1) + self.weyl.length(nf.w2)
+        """len(w1) + len(w2), each factor's bytes looked up in W's index."""
+        w1, _, w2 = self._factors(nf)
+        weyl = self.weyl
+        try:
+            return weyl._length[weyl._index[w1]] + weyl._length[weyl._index[w2]]
+        except KeyError:  # W's own lookup names the factor outside it
+            return weyl.length(nf.w1) + weyl.length(nf.w2)
 
     def length_of_element(self, x: PartialInjection) -> int:
         return self.length(self.normal_decompose(x))
@@ -320,7 +335,7 @@ class RennerMonoid:
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
         """s_i * x: the image bytes of x translated by the table of s_i, then
         decomposed."""
-        table = self._tables.get(("s", i))
+        table = self._tables["s"].get(i)
         if table is None:
             raise ValueError(f"no simple reflection with index {i}")
         return self._decompose(self._image(nf).translate(table))

@@ -1,4 +1,5 @@
 import operator
+import pickle
 import random
 
 import pytest
@@ -423,6 +424,27 @@ def test_evaluate_names_letters_that_are_not_generators(engine, word, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize(
+    "letter,message",
+    [
+        (GeneratorName("x", 1), "unknown generator x1"),
+        (GeneratorName("s", -1), "unknown generator s-1"),
+        (GeneratorName("e", 99), "unknown generator e99"),
+        (GeneratorName("s", "1"), "unknown generator s1"),
+    ],
+    ids=["unknown kind", "negative index", "index past the rank", "string index"],
+)
+def test_evaluate_refuses_names_its_tables_do_not_hold(engine, family, rank, letter, message):
+    # looked up by kind, then by index: a negative index must not wrap to the
+    # last generator, nor "1" find s1
+    eng = engine(family, rank)
+    for word in ([letter], [GeneratorName.s(1), letter, GeneratorName.e(0)]):
+        with pytest.raises(ValueError) as exc:
+            eng.evaluate(word)
+        assert str(exc.value) == message
+
+
 def test_evaluate_rejects_unhashable_letters_as_before(engine):
     with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
         engine("B", 2).evaluate([[1]])
@@ -534,12 +556,32 @@ def test_left_mult_examples(engine):
     assert eng3.left_mult_generator(2, b) == b  # s2 is absorbed by e1
 
 
-@pytest.mark.parametrize("i", [0, 3])
+# -1 must not wrap to the last reflection, nor "1" find s1
+@pytest.mark.parametrize("i", [0, 3, -1, 4, "1"])
 def test_left_mult_rejects_an_unknown_index(engine, i):
     eng = engine("A", 3)
     nf = eng.normal_decompose(eng.identity)
     with pytest.raises(ValueError, match=f"^no simple reflection with index {i}$"):
         eng.left_mult_generator(i, nf)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_decompositions_are_normal_forms_like_the_constructed_ones(engine, elements, family, rank):
+    """A decomposition is filled through its slots, not by `__init__`: it must
+    equal, hash, print and pickle as the form built from fresh equal factors."""
+    eng = engine(family, rank)
+    for x in elements(family, rank):
+        nf = eng.normal_decompose(x)
+        assert type(nf) is NormalForm and type(nf.w1) is PartialInjection
+        built = NormalForm(PartialInjection(nf.w1.image), nf.e, PartialInjection(nf.w2.image))
+        assert nf == built and hash(nf) == hash(built) and repr(nf) == repr(built)
+        assert pickle.dumps(nf) == pickle.dumps(built)
+    # length still names a factor outside W, on either side
+    nf = eng.normal_decompose(eng.identity)
+    outsider = PartialInjection.restriction(eng.fam.degree, [1])
+    for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
+        with pytest.raises(ValueError, match=r"^not an element of the unit group: Partial"):
+            eng.length(built)
 
 
 def test_left_mult_rejects_a_normal_form_of_another_degree(engine):
