@@ -131,20 +131,6 @@ class WeylGroup:
             k = step[(ds & -ds).bit_length() - 1][k]
         return _unchecked(self.images[inv[k] if right else k])
 
-    def double_coset_minima(
-        self, J: Iterable[int], I: Iterable[int]
-    ) -> frozenset[PartialInjection]:
-        """All w minimal in W_J * w * W_I: no left descent in J, no right descent in I.
-
-        Walks left steps from 1 through the elements with no right descent in
-        I.  Each such w != 1 steps down to one by deleting a left descent,
-        which never adds a right descent, so the walk reaches all of them.
-        Then drops those with a left descent in J.
-        """
-        left, mj = self._desc["left"], _mask(J)
-        walk = self._walk(self._s, self._desc["right"], _mask(I))
-        return frozenset([_unchecked(self.images[k]) for k in walk if not left[k] & mj])
-
     def _walk(self, I: Iterable[int], masks: list[int], m: int) -> list[int]:
         """The indices reached from 1 by left steps s_i, i in I, through the
         k with no bit of m in masks[k], in the order reached."""
@@ -168,10 +154,6 @@ class WeylGroup:
         while k:
             k, m = sj[si[k]], m + 1
         return m
-
-    def in_parabolic(self, w: PartialInjection, I: Iterable[int]) -> bool:
-        """Whether w lies in W_I: whether I holds the letters of a reduced word of w."""
-        return set(self.reduced_word(w)) <= set(I)
 
     def parabolic(self, I: Iterable[int]) -> frozenset[PartialInjection]:
         """All elements of the standard parabolic subgroup generated by I,

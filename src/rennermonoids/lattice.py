@@ -63,7 +63,7 @@ class CrossSectionLattice:
         ]
         self.elements: tuple[LambdaElement, ...] = tuple(named + [unit])
         self.nonunit: tuple[LambdaElement, ...] = tuple(named)
-        self._by_idem = {e.idem: e for e in self.elements}
+        by_idem = {e.idem: e for e in self.elements}
 
         self._meet: dict[tuple[str, str], LambdaElement] = {}
         for a in self.elements:
@@ -74,7 +74,7 @@ class CrossSectionLattice:
                     raise RuntimeError(
                         f"lattice idempotents {a.token} and {b.token} do not commute"
                     )
-                m = self._by_idem.get(p)
+                m = by_idem.get(p)
                 if m is None:
                     raise RuntimeError(
                         f"product of {a.token} and {b.token} left the lattice"
@@ -101,12 +101,6 @@ class CrossSectionLattice:
                 raise RuntimeError(f"centralizer of {e.token} is not a direct product")
             if any(weyl.coxeter_exponent(i, j) != 2 for i in tm.absorbing for j in tm.nonabsorbing):
                 raise RuntimeError(f"parabolic factors of {e.token} do not commute elementwise")
-
-    def by_idem(self, x: PartialInjection) -> LambdaElement:
-        e = self._by_idem.get(x)
-        if e is None:
-            raise RuntimeError(f"idempotent {x!r} is not in the cross-section lattice")
-        return e
 
     def leq(self, e: LambdaElement, f: LambdaElement) -> bool:
         return self._meet[e.token, f.token] is e

@@ -15,10 +15,10 @@ bytes for w1 and w2, and a normal form's factors wrap the bytes looked up.
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter
-from typing import Iterable
+from operator import and_, itemgetter
+from typing import Iterable, Iterator
 
-from .coxeter import WeylGroup
+from .coxeter import WeylGroup, _mask
 from .lattice import CrossSectionLattice, LambdaElement
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -67,9 +67,9 @@ class RennerMonoid:
     dom(e), in order -> w1) and the conjugation table (the domain mask of
     each conjugate of a lattice idempotent -> its e, its w2, the image bytes
     of e * w2 and e's left-factor table).  Normal forms are looked up, not
-    memoised, and checked against the input.  Each join
-    e * w * f is computed and checked when it is asked for, and the element
-    list is enumerated afresh on each call.  Neither the engine nor any
+    memoised, and checked against the input.  The joins are walked
+    and checked afresh on each call of `joins`, and the element list is
+    enumerated afresh on each call of `elements`.  Neither the engine nor any
     module of the package holds state filled on use (no functools cache),
     so threads may share an engine freely.
     """
@@ -285,52 +285,57 @@ class RennerMonoid:
         parts.extend(GeneratorName.s(i) for i in right)
         return tuple(parts)
 
-    def meet_under_domain(self, e: LambdaElement, f: LambdaElement) -> frozenset[PartialInjection]:
-        """All w minimal in their double coset for the pair (e, f)."""
-        tm = self.lattice.type_map
-        return self.weyl.double_coset_minima(tm(e).commuting, tm(f).commuting)
+    def joins(
+        self,
+    ) -> Iterator[tuple[LambdaElement, tuple[int, ...], LambdaElement, LambdaElement, bool]]:
+        """The joins e * w * f = h of each pair of nonunit lattice elements,
+        one per w minimal in W_com(e) * w * W_com(f) (Bjorner-Brenti, GTM
+        231, 2.7), as (e, the reduced word of w, f, h, whether w is upward).
 
-    def reduced_join_domain(
-        self, e: LambdaElement, f: LambdaElement
-    ) -> frozenset[PartialInjection]:
-        """The w of meet_under_domain(e, f) that centralize every idempotent
-        strictly above e or f: those in the parabolic of the reflections
-        commuting with all of them."""
-        lat = self.lattice
-        up = set(self.weyl.s_indices)
-        for g in lat.elements:
-            if lat.lt(e, g) or lat.lt(f, g):
-                up &= lat.type_map(g).commuting
-        return frozenset(
-            w for w in self.meet_under_domain(e, f) if self.weyl.in_parabolic(w, up)
-        )
-
-    def meet_under(
-        self, e: LambdaElement, w: PartialInjection, f: LambdaElement
-    ) -> LambdaElement:
-        """The lattice element h equal to e * w * f, for double-coset-minimal w.
-
-        Checks that h * w = h, that w lies in the absorbing parabolic of h
-        and that h lies below the meet of e and f.
+        W is walked once per f, by left steps from 1 through the w with no
+        right descent in com(f): each such w != 1 steps down to one by
+        deleting a left descent, which never adds a right descent, so the
+        walk reaches all of them.  Per e, the w with a left descent in
+        com(e) are dropped.  w is upward when the letters of its word
+        commute with every lattice element strictly above e or f.  h is
+        f's image bytes translated by the tables of w and e, looked up in
+        the lattice, and checked: h * w = h, w in W_abs(h), h <= e meet f.
         """
         lat, weyl = self.lattice, self.weyl
-        if (
-            w not in weyl
-            or weyl.min_coset_rep(w, lat.type_map(e).commuting, "left") != w
-            or weyl.min_coset_rep(w, lat.type_map(f).commuting) != w
-        ):
-            raise ValueError(f"w not double-coset minimal for ({e.token}, {f.token}): {w!r}")
-        h = lat.by_idem(e.idem * w * f.idem)
-        if h.idem * w != h.idem:
-            raise RuntimeError(f"{e.token}*w*{f.token} does not absorb its middle factor")
-        if not weyl.in_parabolic(w, lat.type_map(h).absorbing):
-            raise RuntimeError(
-                f"middle factor of {e.token}*w*{f.token} escapes the"
-                f" absorbing subgroup of {h.token}"
-            )
-        if not lat.leq(h, lat.meet(e, f)):
-            raise RuntimeError(f"{e.token}*w*{f.token} is not below the plain meet")
-        return h
+        com = {g.token: _mask(lat.type_map(g).commuting) for g in lat.elements}
+        up = {
+            e.token: reduce(and_, [com[g.token] for g in lat.elements if lat.lt(e, g)], -1)
+            for e in lat.nonunit
+        }
+        by_image = {g.idem._b: g for g in lat.elements}
+        left, right = weyl._side("left"), weyl._side("right")
+        for f in lat.nonunit:
+            minima = weyl._walk(weyl.s_indices, right, com[f.token])
+            for e in lat.nonunit:
+                table, drop, meet = self._idem_tables[e.idem._b], com[e.token], lat.meet(e, f)
+                for k in minima:
+                    if left[k] & drop:
+                        continue
+                    w = weyl.images[k]
+                    word = weyl.reduced_word(_unchecked(w))
+                    value = f.idem._b.translate(bytes.maketrans(self._unit, w)).translate(table)
+                    h = by_image.get(value)
+                    if h is None:
+                        raise RuntimeError(
+                            f"idempotent {_unchecked(value)!r} is not in the cross-section lattice"
+                        )
+                    if w.translate(self._idem_tables[value]) != value:
+                        raise RuntimeError(
+                            f"{e.token}*w*{f.token} does not absorb its middle factor"
+                        )
+                    if _mask(word) & ~_mask(lat.type_map(h).absorbing):
+                        raise RuntimeError(
+                            f"middle factor of {e.token}*w*{f.token} escapes the"
+                            f" absorbing subgroup of {h.token}"
+                        )
+                    if not lat.leq(h, meet):
+                        raise RuntimeError(f"{e.token}*w*{f.token} is not below the plain meet")
+                    yield e, word, f, h, not _mask(word) & ~(up[e.token] & up[f.token])
 
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
         """s_i * x: the image bytes of x translated by the table of s_i, then

@@ -134,16 +134,14 @@ def _presentation(
 
 
 def _generate(engine: RennerMonoid, flavor: str) -> Presentation:
-    """Coxeter and type relations, plus one join relation e w f = h per w
-    in the join domain of each pair of nonunit idempotents."""
-    domain = engine.reduced_join_domain if flavor == "reduced" else engine.meet_under_domain
-    joins = []
-    for e in engine.lattice.nonunit:
-        for f in engine.lattice.nonunit:
-            for w in domain(e, f):
-                h = engine.meet_under(e, w, f)
-                mid = tuple(GeneratorName.s(i) for i in engine.weyl.reduced_word(w))
-                joins.append(Relation((e.name, *mid, f.name), (h.name,), "TYM3"))
+    """Coxeter and type relations, plus one join relation e w f = h per
+    join of each pair of nonunit idempotents, only the upward ones in the
+    reduced flavor."""
+    joins = [
+        Relation((e.name, *map(GeneratorName.s, word), f.name), (h.name,), "TYM3")
+        for e, word, f, h, upward in engine.joins()
+        if upward or flavor == "full"
+    ]
     return _presentation(
         engine, flavor, _coxeter_relations(engine) + _type_relations(engine), joins
     )

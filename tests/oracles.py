@@ -7,9 +7,10 @@ check the corresponding engine path.  There are two exceptions.
 itself checked against `brute_min_coset`.  `product_multiply` decomposes
 with the engine, so it checks only how `RennerMonoid.multiply` composes,
 against the `PartialInjection` product of the two `value`s.
-`relation_sort_key` and `up_intersection_words` check order, not content:
-the first reads each relation back, the second re-derives the `typemap`
-words pair by pair from `RennerMonoid.reduced_join_domain`.  `byte_closure`
+`relation_sort_key` checks order, not content: it reads each relation
+back.  `up_intersection_words` re-derives the `typemap` words pair by pair
+from `brute_up_minima`, and `join_domains` is no oracle: it regroups
+`RennerMonoid.joins` by pair for the tests that check it.  `byte_closure`
 acts by `byte_table`s, themselves checked against `PartialInjection`
 products, so it checks only what `enumerate_monoid` skips; `_subgroup`, the
 parabolic subgroup behind the brute-force coset minima, closes its
@@ -227,14 +228,20 @@ def brute_min_coset(weyl, w, gens, side):
     return coset[lengths.index(least)]
 
 
-def brute_min_double_coset(weyl, w, left_gens, right_gens):
-    """Minimal element of W_J*w*W_I by enumerating the double coset."""
+def brute_double_coset_minima(weyl, left_gens, right_gens):
+    """The minimal element of each double coset W_J*w*W_I, every double
+    coset enumerated as the products of its two subgroups' elements."""
     J = _subgroup(weyl, frozenset(left_gens))
     I = _subgroup(weyl, frozenset(right_gens))
-    coset = {a * w * b for a in J for b in I}
-    lengths = sorted(weyl.length(v) for v in coset)
-    assert lengths.count(lengths[0]) == 1, "double-coset minimum is not unique"
-    return min(coset, key=weyl.length)
+    seen, minima = set(), set()
+    for w in weyl:
+        if w not in seen:
+            coset = {a * w * b for a in J for b in I}
+            seen |= coset
+            lengths = sorted(weyl.length(v) for v in coset)
+            assert lengths.count(lengths[0]) == 1, "double-coset minimum is not unique"
+            minima.add(min(coset, key=weyl.length))
+    return frozenset(minima)
 
 
 def brute_coset_minima(weyl, gens, side):
@@ -348,6 +355,22 @@ def by_token(lat, token):
     raise ValueError(f"no lattice element named {token!r}")
 
 
+def join_domains(engine, reduced=False):
+    """`RennerMonoid.joins` regrouped by pair, for the tests that read it:
+    (e.token, f.token) -> {w: h} over every pair of nonunit lattice elements,
+    only the upward w if ``reduced``; w is rebuilt from its word by
+    `reflection_product`, and no pair yields a w twice."""
+    lat = engine.lattice
+    pairs = {(e.token, f.token): {} for e in lat.nonunit for f in lat.nonunit}
+    for e, word, f, h, upward in engine.joins():
+        if upward or not reduced:
+            domain = pairs[e.token, f.token]
+            w = reflection_product(engine.weyl, word)
+            assert w not in domain, (e.token, word, f.token)
+            domain[w] = h
+    return pairs
+
+
 def relation_sort_key(engine):
     """The order of a presentation's relations, read back from each one: by
     tag, COX1 by index, COX2 by its pair, TYM1 and TYM2 by the idempotent's
@@ -377,14 +400,15 @@ def relation_sort_key(engine):
 
 def up_intersection_words(engine):
     """`renner typemap`'s up-intersections derived pair by pair: for e, then
-    f, over the nonunit lattice elements, the reduced words of
-    `reduced_join_domain(e, f)` sorted by (length, word)."""
+    f, over the nonunit lattice elements, the reduced words of the w in
+    both e's left and f's right `brute_up_minima`, sorted by (length, word)."""
     weyl, lat = engine.weyl, engine.lattice
+    up = {e.token: brute_up_minima(engine, e) for e in lat.nonunit}
     pairs = []
     for e in lat.nonunit:
         for f in lat.nonunit:
             words = sorted(
-                (weyl.reduced_word(w) for w in engine.reduced_join_domain(e, f)),
+                (weyl.reduced_word(w) for w in up[e.token][0] & up[f.token][1]),
                 key=lambda w: (len(w), w),
             )
             text = [" ".join(f"s{i}" for i in w) or "1" for w in words]

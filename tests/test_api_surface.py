@@ -1,6 +1,5 @@
 """Every public function, method and class in `src/` has a caller in the
-package or in `perfbench/`, and every private module-level helper has one
-in the package.
+package or in `perfbench/`, and every private one has one in the package.
 
 A method is used where its name is loaded as an attribute (`obj.name`); a
 module-level function or class also where its name is loaded bare.  So a
@@ -58,17 +57,17 @@ def test_every_public_name_in_src_has_a_caller():
 
 
 def test_every_private_helper_in_src_has_a_load_in_src():
-    """A private module-level function or class is loaded somewhere in `src/`,
-    so a helper that a change leaves without a caller is flagged too."""
+    """A private function, class or method is loaded somewhere in `src/`
+    (a method as an attribute), so a helper that a change leaves without a
+    caller is flagged too."""
     sources = sorted(PACKAGE.glob("*.py"))
     attrs, names = _loads(sources)
     unused = sorted(
         name
         for path in sources
         for name, is_method in _public_definitions(path)
-        if not is_method
-        and name.startswith("_")
+        if name.startswith("_")
         and not name.startswith("__")
-        and not (attrs[name] or names[name])
+        and not (attrs[name] or (not is_method and names[name]))
     )
     assert not unused, f"private helpers with no load in src/: {unused}"

@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from rennermonoids import GeneratorName, PartialInjection, RennerMonoid
 from rennermonoids.cli import WordParseError, main, parse_word
-from oracles import up_intersection_words, weyl_order
+from oracles import by_token, up_intersection_words, weyl_order
 from test_normal_forms import corrupt_left_factor
 from test_presentation import LADDER
 
@@ -227,6 +228,42 @@ def test_failed_build_check_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "--family", "A", "--rank", "3", "len", "1")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal check failed: w2^-1 does not carry dom(")
+
+
+def test_join_escaping_the_absorbing_subgroup_exits_4(capsys, monkeypatch):
+    from rennermonoids.lattice import TypeMap
+
+    build = RennerMonoid.__init__
+
+    def corrupted(self, family, rank):
+        build(self, family, rank)
+        # e0 absorbs every reflection at B2; with none absorbed, a join
+        # e w f = e0 with w != 1 (e2 s2 s1 s2 e2, say) escapes
+        tm = self.lattice.type_map(by_token(self.lattice, "e0"))
+        self.lattice._types["e0"] = TypeMap(tm.commuting, frozenset(), tm.nonabsorbing)
+
+    monkeypatch.setattr(RennerMonoid, "__init__", corrupted)
+    code, out, err = run(capsys, "--family", "B", "--rank", "2", "present", "--flavor", "full")
+    assert (code, out) == (4, "")
+    assert re.fullmatch(
+        r"error: internal check failed: middle factor of \w+\*w\*\w+ escapes the"
+        r" absorbing subgroup of e0\n",
+        err,
+    )
+    assert "Traceback" not in err
+
+
+def test_join_above_the_plain_meet_exits_4(capsys, monkeypatch):
+    from rennermonoids.lattice import CrossSectionLattice
+
+    # every meet read as the bottom e0: the join e1 1 e1 = e1 is above it
+    monkeypatch.setattr(CrossSectionLattice, "meet", lambda self, e, f: by_token(self, "e0"))
+    code, out, err = run(capsys, "--family", "B", "--rank", "2", "present", "--flavor", "full")
+    assert (code, out) == (4, "")
+    assert re.fullmatch(
+        r"error: internal check failed: \w+\*w\*\w+ is not below the plain meet\n", err
+    )
+    assert "Traceback" not in err
 
 
 def test_oversized_enumeration_refused_before_enumerating(capsys, monkeypatch):

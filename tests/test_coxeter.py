@@ -8,9 +8,10 @@ import pytest
 
 from oracles import (
     all_subsets,
+    brute_double_coset_minima,
     brute_min_coset,
-    brute_min_double_coset,
     descents,
+    join_domains,
     reflection_product,
     tuple_weyl_tables,
 )
@@ -102,39 +103,43 @@ def test_descents_from_products(engine, family, rank):
 def test_min_coset_rep_against_brute_force(engine, family, rank):
     weyl = engine(family, rank).weyl
     for gens in all_subsets(weyl.s_indices):
+        parabolic = weyl.parabolic(gens)
         for w in weyl:
             for side in ("left", "right"):
                 rep = weyl.min_coset_rep(w, gens, side)
                 assert rep == brute_min_coset(weyl, w, gens, side)
                 # length additivity across the factorization w = rep * p
                 p = rep.inverse() * w if side == "right" else w * rep.inverse()
-                assert weyl.in_parabolic(p, gens)
+                assert p in parabolic
                 assert weyl.length(w) == weyl.length(rep) + weyl.length(p)
                 assert not (descents(weyl, rep, side) & set(gens))
 
 
 def test_double_coset_minima_examples(engine):
-    weyl = engine("A", 3).weyl
-    s2s1 = reflection_product(weyl, [2, 1])
-    assert weyl.double_coset_minima({1}, {2}) == {weyl.identity, s2s1}
-    assert weyl.double_coset_minima({1, 2}, {1, 2}) == {weyl.identity}
-    assert weyl.double_coset_minima(set(), set()) == frozenset(weyl)
+    # com(e1) = {2} and com(e2) = {1} at A3; every reflection commutes with e0
+    eng = engine("A", 3)
+    weyl, joins = eng.weyl, join_domains(eng)
+    assert set(joins["e2", "e1"]) == {weyl.identity, reflection_product(weyl, [2, 1])}
+    assert set(joins["e0", "e0"]) == {weyl.identity}
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("A", 4), ("B", 3), ("D", 4)])
 def test_double_coset_minima_against_brute_force(engine, family, rank):
-    weyl = engine(family, rank).weyl
-    for J in all_subsets(weyl.s_indices):
-        for I in all_subsets(weyl.s_indices):
-            expected = {brute_min_double_coset(weyl, w, J, I) for w in weyl}
-            assert weyl.double_coset_minima(J, I) == expected
+    # D4 is the first rank whose Coxeter type is D
+    eng = engine(family, rank)
+    weyl, lat, joins = eng.weyl, eng.lattice, join_domains(eng)
+    for e in lat.nonunit:
+        for f in lat.nonunit:
+            J, I = lat.type_map(e).commuting, lat.type_map(f).commuting
+            expected = brute_double_coset_minima(weyl, J, I)
+            assert set(joins[e.token, f.token]) == expected, (e.token, f.token)
 
 
 def test_in_parabolic(engine):
     weyl = engine("A", 3).weyl
-    assert weyl.in_parabolic(weyl.identity, set())
-    assert not weyl.in_parabolic(weyl.s(1), {2})
-    assert weyl.in_parabolic(reflection_product(weyl, [1, 2]), {1, 2})
+    assert weyl.identity in weyl.parabolic(set())
+    assert weyl.s(1) not in weyl.parabolic({2})
+    assert reflection_product(weyl, [1, 2]) in weyl.parabolic({1, 2})
     assert weyl.parabolic({2}) == frozenset({weyl.identity, weyl.s(2)})
 
 

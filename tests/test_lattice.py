@@ -7,6 +7,7 @@ from oracles import (
     brute_up_minima,
     by_token,
     descents,
+    join_domains,
     reflection_product,
 )
 
@@ -220,21 +221,19 @@ def test_coset_minima_definition(engine, family, rank):
 def test_reduced_join_domain_matches_up_minima_oracle(engine, family, rank):
     eng = engine(family, rank)
     up = {e.token: brute_up_minima(eng, e) for e in eng.lattice.nonunit}
+    reduced = join_domains(eng, reduced=True)
     for e, f in itertools.product(eng.lattice.nonunit, repeat=2):
         want = up[e.token][0] & up[f.token][1]
-        assert eng.reduced_join_domain(e, f) == want, (e.token, f.token)
+        assert set(reduced[e.token, f.token]) == want, (e.token, f.token)
 
 
 def test_up_minima_rook(engine):
     eng = engine("A", 3)
-    lat, weyl = eng.lattice, eng.weyl
+    weyl, inter = eng.weyl, join_domains(eng, reduced=True)
     for i in (1, 2):
-        e = by_token(lat, f"e{i}")
-        both = eng.reduced_join_domain(e, e)
-        assert both == frozenset({weyl.identity, weyl.s(i)})
+        assert set(inter[f"e{i}", f"e{i}"]) == {weyl.identity, weyl.s(i)}
     for i, j in itertools.permutations((0, 1, 2), 2):
-        ei, ej = by_token(lat, f"e{i}"), by_token(lat, f"e{j}")
-        assert eng.reduced_join_domain(ei, ej) == frozenset({weyl.identity})
+        assert set(inter[f"e{i}", f"e{j}"]) == {weyl.identity}
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -243,42 +242,39 @@ def test_up_minima_symplectic(engine, rank):
     # representatives, one per count 0..rank, with triangular lengths.  Only
     # at rank 2 does that stop at s2 s1 s2.
     eng = engine("B", rank)
-    lat, weyl = eng.lattice, eng.weyl
-    top = by_token(lat, f"e{rank}")
-    both = eng.reduced_join_domain(top, top)
+    weyl, inter = eng.weyl, join_domains(eng, reduced=True)
+    both = set(inter[f"e{rank}", f"e{rank}"])
     expected = {weyl.identity, weyl.s(rank), reflection_product(weyl, [rank, rank - 1, rank])}
     if rank == 3:
         expected.add(reflection_product(weyl, [3, 2, 1, 3, 2, 3]))
-    assert both == frozenset(expected)
+    assert both == expected
     assert sorted(weyl.length(w) for w in both) == [
         k * (k + 1) // 2 for k in range(rank + 1)
     ]
     for i in range(1, rank):
-        e = by_token(lat, f"e{i}")
-        assert eng.reduced_join_domain(e, e) == frozenset({weyl.identity, weyl.s(i)})
+        assert set(inter[f"e{i}", f"e{i}"]) == {weyl.identity, weyl.s(i)}
 
 
 def test_up_minima_even_orthogonal(engine):
     eng = engine("D", 3)
-    lat, weyl = eng.lattice, eng.weyl
-    e1, e2, e3, f3 = (by_token(lat, t) for t in ("e1", "e2", "e3", "f3"))
-    inter = eng.reduced_join_domain
-    assert inter(e1, e1) == frozenset({weyl.identity, weyl.s(1)})
-    assert inter(e2, e2) == frozenset({weyl.identity})
-    assert inter(e3, e3) == frozenset({weyl.identity, weyl.s(3)})
-    assert inter(f3, f3) == frozenset({weyl.identity, weyl.s(2)})
-    assert inter(e3, f3) == frozenset({weyl.identity, reflection_product(weyl, [3, 1, 2])})
-    assert inter(f3, e3) == frozenset({weyl.identity, reflection_product(weyl, [2, 1, 3])})
+    weyl, reduced = eng.weyl, join_domains(eng, reduced=True)
+    inter = lambda e, f: set(reduced[e, f])
+    assert inter("e1", "e1") == {weyl.identity, weyl.s(1)}
+    assert inter("e2", "e2") == {weyl.identity}
+    assert inter("e3", "e3") == {weyl.identity, weyl.s(3)}
+    assert inter("f3", "f3") == {weyl.identity, weyl.s(2)}
+    assert inter("e3", "f3") == {weyl.identity, reflection_product(weyl, [3, 1, 2])}
+    assert inter("f3", "e3") == {weyl.identity, reflection_product(weyl, [2, 1, 3])}
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
 def test_up_intersection_trivial_for_comparable_distinct(engine, family, rank):
     eng = engine(family, rank)
     lat, weyl = eng.lattice, eng.weyl
+    reduced = join_domains(eng, reduced=True)
     for e, f in itertools.permutations(lat.nonunit, 2):
         if lat.lt(e, f) or lat.lt(f, e):
-            got = eng.reduced_join_domain(e, f)
-            assert got == frozenset({weyl.identity}), (e.token, f.token)
+            assert set(reduced[e.token, f.token]) == {weyl.identity}, (e.token, f.token)
 
 
 @pytest.mark.parametrize("family,rank", SMALL)

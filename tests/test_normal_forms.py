@@ -15,6 +15,7 @@ from oracles import (
     by_token,
     cheapest_word_costs,
     image_bytes,
+    join_domains,
     product_multiply,
     reflection_product,
     value,
@@ -382,18 +383,15 @@ def test_length_zero_iff_idempotent_in_lattice(engine, elements, family, rank):
 
 def test_meet_under_examples(engine):
     eng_b = engine("B", 2)
-    lat_b, weyl_b = eng_b.lattice, eng_b.weyl
-    e2 = by_token(lat_b, "e2")
-    assert eng_b.meet_under(e2, reflection_product(weyl_b, [2, 1, 2]), e2).token == "e0"
+    s2s1s2 = reflection_product(eng_b.weyl, [2, 1, 2])
+    assert join_domains(eng_b)["e2", "e2"][s2s1s2].token == "e0"
     eng_d = engine("D", 3)
     lat_d, weyl_d = eng_d.lattice, eng_d.weyl
-    got = eng_d.meet_under(
-        by_token(lat_d, "e3"), reflection_product(weyl_d, [3, 1, 2]), by_token(lat_d, "f3")
-    )
-    assert got.token == "e0"
-    for e in lat_d.elements:
-        for f in lat_d.elements:
-            assert eng_d.meet_under(e, weyl_d.identity, f) == lat_d.meet(e, f)
+    joins_d = join_domains(eng_d)
+    assert joins_d["e3", "f3"][reflection_product(weyl_d, [3, 1, 2])].token == "e0"
+    for e in lat_d.nonunit:
+        for f in lat_d.nonunit:
+            assert joins_d[e.token, f.token][weyl_d.identity] == lat_d.meet(e, f)
 
 
 def test_evaluate_rejects_unknown_generators(engine):
@@ -478,16 +476,12 @@ def test_queries_leave_the_engine_as_built():
 
     eng = RennerMonoid("B", 3)
     built = {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(eng).items()}
-    lat = eng.lattice
     x = eng.elements()[-1]
     nf = eng.normal_decompose(x)
     eng.canonical_word(nf)
     eng.multiply(nf, nf)
     eng.left_mult_generator(1, nf)
-    for e in lat.nonunit:
-        for f in lat.nonunit:
-            for w in eng.reduced_join_domain(e, f):
-                eng.meet_under(e, w, f)
+    assert list(eng.joins()) == list(eng.joins())
     # the count marks its hits in the closure it is handed, not in the engine
     assert verify_completeness(eng) == verify_completeness(eng)
     assert vars(eng).keys() == built.keys()
@@ -518,21 +512,14 @@ def test_no_module_holds_a_functools_cache():
     assert not cached, f"functools caches in rennermonoids: {cached}"
 
 
-def test_meet_under_rejects_non_minimal(engine):
-    eng = engine("A", 3)
-    e1 = by_token(eng.lattice, "e1")
-    with pytest.raises(ValueError, match="double-coset minimal"):
-        eng.meet_under(e1, eng.weyl.s(2), e1)
-
-
 @pytest.mark.parametrize("family,rank", SMALL)
 def test_meet_under_contract(engine, family, rank):
     eng = engine(family, rank)
     lat = eng.lattice
-    for e in lat.elements:
-        for f in lat.elements:
-            for w in eng.meet_under_domain(e, f):
-                h = eng.meet_under(e, w, f)
+    joins = join_domains(eng)
+    for e in lat.nonunit:
+        for f in lat.nonunit:
+            for w, h in joins[e.token, f.token].items():
                 prod = e.idem * w * f.idem
                 assert prod * prod == prod
                 assert prod == h.idem
