@@ -14,7 +14,8 @@ from .model import GeneratorName, MonoidFamily, PartialInjection, _Value
 
 
 class LambdaElement(_Value):
-    """A named idempotent of the cross-section lattice; name None marks the unit."""
+    """A named idempotent of the cross-section lattice; name None marks the unit.
+    It is keyed by its idempotent's image bytes; `token` is for display only."""
 
     name: GeneratorName | None
     idem: PartialInjection
@@ -47,8 +48,10 @@ class CrossSectionLattice:
     theirs, and the two factors commute elementwise, which holds exactly when
     each absorbing generator commutes with each nonabsorbing one.  Parabolics
     and coset minima are left to `WeylGroup.parabolic` and
-    `WeylGroup.iter_coset_minima` on the type maps.  Immutable after
-    construction.
+    `WeylGroup.iter_coset_minima` on the type maps.  Queries key an element
+    by its idempotent's image bytes, as `by_image` indexes the elements, so
+    another engine's equal element gets the same answer and one not held
+    raises KeyError.  Immutable after construction.
     """
 
     def __init__(
@@ -58,14 +61,12 @@ class CrossSectionLattice:
         weyl: WeylGroup,
     ):
         unit = LambdaElement(None, PartialInjection.identity(fam.degree))
-        named = [
-            LambdaElement(name, idem) for name, idem in gens.items() if name.kind != "s"
-        ]
+        named = [LambdaElement(g, idem) for g, idem in gens.items() if g.kind != "s"]
         self.elements: tuple[LambdaElement, ...] = tuple(named + [unit])
         self.nonunit: tuple[LambdaElement, ...] = tuple(named)
-        by_idem = {e.idem: e for e in self.elements}
+        self.by_image: dict[bytes, LambdaElement] = {e.idem._b: e for e in self.elements}
 
-        self._meet: dict[tuple[str, str], LambdaElement] = {}
+        self._meet: dict[tuple[bytes, bytes], LambdaElement] = {}
         for a in self.elements:
             for b in self.elements:
                 p = a.idem * b.idem
@@ -74,14 +75,12 @@ class CrossSectionLattice:
                     raise RuntimeError(
                         f"lattice idempotents {a.token} and {b.token} do not commute"
                     )
-                m = by_idem.get(p)
+                m = self.by_image.get(p._b)
                 if m is None:
-                    raise RuntimeError(
-                        f"product of {a.token} and {b.token} left the lattice"
-                    )
-                self._meet[a.token, b.token] = m
+                    raise RuntimeError(f"product of {a.token} and {b.token} left the lattice")
+                self._meet[a.idem._b, b.idem._b] = m
 
-        self._types: dict[str, TypeMap] = {}
+        self._types: dict[bytes, TypeMap] = {}
         for e in self.elements:
             com, absd, non = set(), set(), set()
             for i in weyl.s_indices:
@@ -91,7 +90,7 @@ class CrossSectionLattice:
                     com.add(i)
                     (absd if se == e.idem else non).add(i)
             tm = TypeMap(frozenset(com), frozenset(absd), frozenset(non))
-            self._types[e.token] = tm
+            self._types[e.idem._b] = tm
             # `parabolic` lists the smaller factor, as the benchmark's trace
             # contract expects its span from every build; the larger is W at
             # the unit, whose listing would decode every element.
@@ -103,13 +102,13 @@ class CrossSectionLattice:
                 raise RuntimeError(f"parabolic factors of {e.token} do not commute elementwise")
 
     def leq(self, e: LambdaElement, f: LambdaElement) -> bool:
-        return self._meet[e.token, f.token] is e
+        return self._meet[e.idem._b, f.idem._b].idem._b == e.idem._b
 
     def lt(self, e: LambdaElement, f: LambdaElement) -> bool:
-        return e.token != f.token and self.leq(e, f)
+        return self.leq(e, f) and e.idem._b != f.idem._b
 
     def meet(self, e: LambdaElement, f: LambdaElement) -> LambdaElement:
-        return self._meet[e.token, f.token]
+        return self._meet[e.idem._b, f.idem._b]
 
     def type_map(self, e: LambdaElement) -> TypeMap:
-        return self._types[e.token]
+        return self._types[e.idem._b]

@@ -62,9 +62,10 @@ MAX_WEYL_ORDER = 350_000
 class RennerMonoid:
     """Engine for one family and rank: model, group, lattice, normal forms.
 
-    Two tables are built at construction and never changed: the
-    left-factor table of each nonunit lattice element e (the values of w1 on
-    dom(e), in order -> w1) and the conjugation table (the domain mask of
+    Four tables are built at construction and never changed: the generator
+    and idempotent tables (each letter's and lattice element's `byte_table`),
+    the left-factor tables (per nonunit lattice element e, the values of w1
+    on dom(e), in order -> w1) and the conjugation table (the domain mask of
     each conjugate of a lattice idempotent -> its e, its w2, the image bytes
     of e * w2 and e's left-factor table).  Normal forms are looked up, not
     memoised, and checked against the input.  The joins are walked
@@ -95,46 +96,44 @@ class RennerMonoid:
         )
         self.lattice = CrossSectionLattice(self.fam, self.generators, self.weyl)
 
-        # Left-factor table of each nonunit lattice element e: the values of
-        # w1 on dom(e) in increasing order, as bytes -> w1, over the w1
-        # right-minimal modulo the absorbing parabolic of e.  Two units agree
-        # on dom(e) exactly when they differ by an element of that parabolic,
-        # so no key repeats.
-        left_factor: dict[str, dict[bytes, bytes]] = {}
-        for e in self.lattice.nonunit:
-            minima = self.weyl.coset_minima_images(self.lattice.type_map(e).absorbing)
-            at = [j - 1 for j in e.idem.domain()]
-            pick = itemgetter(*at) if len(at) > 1 else lambda image: [image[j] for j in at]
-            table = left_factor[e.token] = {bytes(pick(w)): w for w in minima}
-            if len(table) != len(minima):
-                raise RuntimeError(f"two left factors under {e.token} agree on its domain")
-
-        # Domain u(dom e) of each conjugate u * e * u^-1 of a lattice element,
-        # by a breadth-first walk of its orbit -> (e, w2 on W's own bytes,
-        # image bytes of e * w2, e's left-factor table, None for the unit),
-        # keyed by the mask of that domain once the orbit is walked.  w2^-1
-        # carries dom(e) onto the domain in increasing order (w2 has no left
-        # descent among the reflections swapping neighbours in dom(e)), so for
-        # an x with that domain the values of x * w2^-1 on dom(e) are those of
-        # x, in order.
-        self._idem_tables = {e.idem._b: byte_table(e.idem) for e in self.lattice.elements}
+        # Per lattice element e: its byte table, keyed by its image bytes; for
+        # a nonunit e its left-factor table, the values of w1 on dom(e) in
+        # increasing order, as bytes -> w1, over the w1 right-minimal modulo
+        # the absorbing parabolic of e (no key repeats: two units agree on
+        # dom(e) exactly when they differ by an element of that parabolic);
+        # and its orbit, the domain u(dom e) of each conjugate u * e * u^-1,
+        # by a breadth-first walk -> (e, w2 on W's own bytes, image bytes of
+        # e * w2, the left-factor table or None), keyed by the domain's mask
+        # once walked.  w2^-1 carries dom(e) onto the domain in increasing
+        # order (w2 has no left descent among the reflections swapping
+        # neighbours in dom(e)), so for an x with that domain the values of
+        # x * w2^-1 on dom(e) are those of x, in order.
+        self._idem_tables: dict[bytes, bytes] = {}
         self._conjugation: dict[bytes, tuple] = {}
         reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
         for e in self.lattice.elements:
-            commuting = self.lattice.type_map(e).commuting
-            idem = self._idem_tables[e.idem._b]
+            tm = self.lattice.type_map(e)
+            idem = self._idem_tables[e.idem._b] = byte_table(e.idem)
+            table = None
+            if e.name is not None:
+                minima = self.weyl.coset_minima_images(tm.absorbing)
+                at = [j - 1 for j in e.idem.domain()]
+                pick = itemgetter(*at) if len(at) > 1 else lambda image: [image[j] for j in at]
+                table = {bytes(pick(w)): w for w in minima}
+                if len(table) != len(minima):
+                    raise RuntimeError(f"two left factors under {e.token} agree on its domain")
             orbit: dict[tuple[int, ...], tuple] = {}
             queue = [(e.idem.domain(), self.identity, self.identity)]
             for dom, s, u in queue:
                 if dom in orbit:
                     continue
                 u = s * u
-                w2 = self.weyl.min_coset_rep(u.inverse(), commuting, "left")
+                w2 = self.weyl.min_coset_rep(u.inverse(), tm.commuting, "left")
                 if tuple(map(w2.inverse(), e.idem.domain())) != dom:
                     raise RuntimeError(
                         f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
                     )
-                orbit[dom] = (e, w2, w2._b.translate(idem), left_factor.get(e.token))
+                orbit[dom] = (e, w2, w2._b.translate(idem), table)
                 queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
             self._conjugation.update((c[2].translate(_DOMAIN), c) for c in orbit.values())
 
@@ -302,24 +301,23 @@ class RennerMonoid:
         the lattice, and checked: h * w = h, w in W_abs(h), h <= e meet f.
         """
         lat, weyl = self.lattice, self.weyl
-        com = {g.token: _mask(lat.type_map(g).commuting) for g in lat.elements}
+        com = {g.idem._b: _mask(lat.type_map(g).commuting) for g in lat.elements}
         up = {
-            e.token: reduce(and_, [com[g.token] for g in lat.elements if lat.lt(e, g)], -1)
+            e.idem._b: reduce(and_, [com[g.idem._b] for g in lat.elements if lat.lt(e, g)], -1)
             for e in lat.nonunit
         }
-        by_image = {g.idem._b: g for g in lat.elements}
         left, right = weyl._side("left"), weyl._side("right")
         for f in lat.nonunit:
-            minima = weyl._walk(weyl.s_indices, right, com[f.token])
+            minima = weyl._walk(weyl.s_indices, right, com[f.idem._b])
             for e in lat.nonunit:
-                table, drop, meet = self._idem_tables[e.idem._b], com[e.token], lat.meet(e, f)
+                table, drop, meet = self._idem_tables[e.idem._b], com[e.idem._b], lat.meet(e, f)
                 for k in minima:
                     if left[k] & drop:
                         continue
                     w = weyl.images[k]
                     word = weyl.reduced_word(_unchecked(w))
                     value = f.idem._b.translate(bytes.maketrans(self._unit, w)).translate(table)
-                    h = by_image.get(value)
+                    h = lat.by_image.get(value)
                     if h is None:
                         raise RuntimeError(
                             f"idempotent {_unchecked(value)!r} is not in the cross-section lattice"
@@ -335,7 +333,7 @@ class RennerMonoid:
                         )
                     if not lat.leq(h, meet):
                         raise RuntimeError(f"{e.token}*w*{f.token} is not below the plain meet")
-                    yield e, word, f, h, not _mask(word) & ~(up[e.token] & up[f.token])
+                    yield e, word, f, h, not _mask(word) & ~(up[e.idem._b] & up[f.idem._b])
 
     def left_mult_generator(self, i: int, nf: NormalForm) -> NormalForm:
         """s_i * x: the image bytes of x translated by the table of s_i, then

@@ -1,5 +1,7 @@
 """Every public function, method and class in `src/` has a caller in the
 package or in `perfbench/`, and every private one has one in the package.
+Every public instance attribute that `src/` sets (`self.name = ...`) is
+loaded somewhere in the package or in `perfbench/` too.
 
 A method is used where its name is loaded as an attribute (`obj.name`); a
 module-level function or class also where its name is loaded bare.  So a
@@ -54,6 +56,33 @@ def test_every_public_name_in_src_has_a_caller():
     }
     flagged = sorted(unused - ALLOWED.keys())
     assert not flagged, f"public names with no caller in src/ or perfbench/: {flagged}"
+
+
+def _instance_attributes(path: Path):
+    """Attribute names stored on ``self`` anywhere in the module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.attr
+
+
+def test_every_public_instance_attribute_in_src_is_read():
+    sources = sorted(PACKAGE.glob("*.py"))
+    users = [p for p in sources if p.name != "__init__.py"]
+    attrs, _ = _loads(users + sorted((ROOT / "perfbench").glob("*.py")))
+    unread = sorted(
+        {
+            name
+            for path in sources
+            for name in _instance_attributes(path)
+            if not name.startswith("_") and not attrs[name]
+        }
+    )
+    assert not unread, f"public instance attributes never read in src/ or perfbench/: {unread}"
 
 
 def test_every_private_helper_in_src_has_a_load_in_src():

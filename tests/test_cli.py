@@ -239,8 +239,9 @@ def test_join_escaping_the_absorbing_subgroup_exits_4(capsys, monkeypatch):
         build(self, family, rank)
         # e0 absorbs every reflection at B2; with none absorbed, a join
         # e w f = e0 with w != 1 (e2 s2 s1 s2 e2, say) escapes
-        tm = self.lattice.type_map(by_token(self.lattice, "e0"))
-        self.lattice._types["e0"] = TypeMap(tm.commuting, frozenset(), tm.nonabsorbing)
+        e0 = by_token(self.lattice, "e0")
+        tm = self.lattice.type_map(e0)
+        self.lattice._types[e0.idem._b] = TypeMap(tm.commuting, frozenset(), tm.nonabsorbing)
 
     monkeypatch.setattr(RennerMonoid, "__init__", corrupted)
     code, out, err = run(capsys, "--family", "B", "--rank", "2", "present", "--flavor", "full")

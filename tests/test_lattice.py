@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from rennermonoids import RennerMonoid
 from oracles import (
     brute_coset_minima,
     brute_up_minima,
@@ -94,6 +95,47 @@ def test_meet_examples(engine):
     assert lat_d.meet(by_token(lat_d, "e3"), by_token(lat_d, "f3")).token == "e2"
     for e in lat_d.elements:
         assert lat_d.meet(e, by_token(lat_d, "1")) == e
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_a_second_engines_elements_get_the_same_answers(engine, family, rank):
+    """Queries key an element by its idempotent's bytes, not by identity."""
+    lat, other = engine(family, rank).lattice, RennerMonoid(family, rank).lattice
+    assert other.elements == lat.elements
+    for (a, b), (a2, b2) in zip(
+        itertools.product(lat.elements, repeat=2), itertools.product(other.elements, repeat=2)
+    ):
+        assert a2 is not a
+        assert lat.leq(a2, b2) == lat.leq(a, b), (a.token, b.token)
+        assert lat.lt(a2, b2) == lat.lt(a, b), (a.token, b.token)
+        assert lat.meet(a2, b2) is lat.meet(a, b)
+
+
+def test_an_element_the_lattice_does_not_hold_is_refused(engine):
+    lat = engine("A", 3).lattice
+    foreign = by_token(engine("A", 4).lattice, "e2")
+    e2 = by_token(lat, "e2")
+    for query in (
+        lambda: lat.type_map(foreign),
+        lambda: lat.meet(foreign, e2),
+        lambda: lat.meet(e2, foreign),
+        lambda: lat.leq(foreign, foreign),
+        lambda: lat.leq(e2, foreign),
+        lambda: lat.lt(foreign, foreign),
+        lambda: lat.lt(foreign, e2),
+    ):
+        with pytest.raises(KeyError):
+            query()
+    lat_b = engine("B", 3).lattice
+    f3 = by_token(engine("D", 3).lattice, "f3")
+    for query in (
+        lambda: lat_b.type_map(f3),
+        lambda: lat_b.meet(f3, f3),
+        lambda: lat_b.leq(f3, f3),
+        lambda: lat_b.lt(f3, f3),
+    ):
+        with pytest.raises(KeyError):
+            query()
 
 
 @pytest.mark.parametrize("family,rank", SMALL)

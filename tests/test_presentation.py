@@ -7,6 +7,7 @@ from rennermonoids import (
     GeneratorName,
     MonoidFamily,
     Relation,
+    RennerMonoid,
     build_generators,
     coxeter_pairs,
     generate_explicit,
@@ -129,6 +130,19 @@ def test_corrupted_relation_fails_verification(engine):
     rep = verify_relations(eng, patched)
     assert not rep.ok
     assert rep.failures == (bad,)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
+def test_build_and_joins_build_no_strings(monkeypatch, family, rank):
+    """Lattice queries, build tables and joins key elements by their
+    idempotent's bytes: no generator name is turned into a string."""
+
+    def refuse(self):
+        raise AssertionError(f"str() of a generator name {self.kind}{self.index}")
+
+    monkeypatch.setattr(GeneratorName, "__str__", refuse)
+    eng = RennerMonoid(family, rank)
+    assert generate_full(eng).relations and generate_reduced(eng).relations
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
