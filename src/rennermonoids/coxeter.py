@@ -5,7 +5,11 @@ reflections, so the same machinery serves every embedding (types A, B, D)
 with no per-type inversion formula.  The search walks image bytes, taking
 s * w by one `bytes.translate` table per generator, and keeps each
 element as those bytes alone: a PartialInjection the methods take is
-looked up by its bytes, and one they return wraps W's own.  Only the left
+looked up by its bytes, and one they return wraps W's own.  In a Coxeter
+group l(s * w) = l(w) +- 1 (Bjorner-Brenti, GTM 231, ch. 1), so each Cayley
+edge {w, s * w} joins two breadth-first levels and is computed once, from
+its shorter end, which fills both ends' entries; an entry already filled
+when the walk reaches w is a left descent of w.  Only the left
 action is stored, with each element's inverse: the right side comes
 through inversion, as w * s = (s * w^-1)^-1, so the right descents of w
 are the left descents of w^-1.  Coset queries are walks and bitmask tests
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .model import PartialInjection, _unchecked, byte_table
@@ -27,46 +31,66 @@ def _mask(I: Iterable[int]) -> int:
     return sum(1 << i for i in set(I))
 
 
-def _descents(step: dict[int, array], length: list[int]) -> list[int]:
-    """Per element, the mask of generators whose step shortens it."""
-    desc = [0] * len(length)
-    for i, col in step.items():
-        desc = [d | (length[j] < l) << i for d, j, l in zip(desc, col, length)]
-    return desc
-
-
 class WeylGroup:
     """The group generated by the simple-reflection permutations.
 
     Elements are PartialInjections at the boundary and indices into
     ``images``, their image bytes, inside (0 is the identity, then
-    breadth-first order).  Descent sets stay internal bitmasks: callers ask
+    breadth-first order).  The walk computes s_i * w only where its entry
+    is still empty and writes the entries of both ends, so it makes about
+    |W| * r / 2 products for r generators; the entries filled before it
+    reaches w are w's left descents.  ``order`` is |W|, which sizes the
+    tables once.  A generator that is not an involution or a wrong order
+    raises ValueError, and an edge inside one level (no Coxeter system)
+    RuntimeError.  Descent sets stay internal bitmasks: callers ask
     whether w is minimal in its coset as min_coset_rep(w, I, side) == w.
     Immutable after construction.
     """
 
-    def __init__(self, gens: dict[int, PartialInjection], degree: int):
+    def __init__(self, gens: dict[int, PartialInjection], degree: int, order: int):
         self._s = dict(sorted(gens.items()))
-        left: dict[int, array] = {i: array("i") for i in self._s}
-        steps = [(i, byte_table(s), left[i]) for i, s in self._s.items()]
         unit = bytes(range(1, degree + 1))
+        left: dict[int, array] = {}
+        steps = []
+        for i, s in self._s.items():
+            table = byte_table(s)
+            if s._b.translate(table) != unit:
+                raise ValueError(f"simple reflection {i} is not an involution")
+            left[i] = array("i", [-1]) * order
+            steps.append((1 << i, table, left[i]))
         images = [unit]
         index = {unit: 0}
         length = [0]
+        ldesc = []
         for k, w in enumerate(images):
-            for i, table, col in steps:
+            d = 0
+            for bit, table, col in steps:
+                if col[k] >= 0:
+                    d |= bit
+                    continue
                 v = w.translate(table)
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(images)
+                    if j == order:
+                        raise ValueError(f"the generators make more than {order} elements")
                     images.append(v)
                     length.append(length[k] + 1)
-                col.append(j)
+                elif length[j] == length[k]:
+                    raise RuntimeError(
+                        f"s{bit.bit_length() - 1} joins two elements of length {length[k]}:"
+                        " the generators are not a Coxeter system"
+                    )
+                col[k] = j
+                col[j] = k
+            ldesc.append(d)
+        if len(images) != order:
+            raise ValueError(f"the generators make {len(images)} elements, not {order}")
         self.images, self._index = images, index
-        self._inv = [index[unit.translate(bytes.maketrans(w, unit))] for w in images]
+        inverses = map(unit.translate, map(bytes.maketrans, images, repeat(unit)))
+        self._inv = list(map(index.__getitem__, inverses))
         self._length, self._step = length, left
-        ldesc = _descents(left, length)
-        self._desc = {"left": ldesc, "right": [ldesc[j] for j in self._inv]}
+        self._desc = {"left": ldesc, "right": list(map(ldesc.__getitem__, self._inv))}
         self._desc_counts = Counter(ldesc)
 
     @property

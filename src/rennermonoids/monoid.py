@@ -54,8 +54,9 @@ class OutsideMonoidError(ValueError):
 
 
 # Largest unit group built, checked before any table: D7 (322,560 elements,
-# 1.06 million left-factor entries) builds in 2.4-3.6 s and 170 MB on one
-# core of a busy 2-core machine; A8 and B6 pass, A9, B7 and D8 are refused.
+# 1.06 million left-factor entries) builds in 1.1-1.25 s and 166 MB on one
+# core of a 2-core machine (Python 3.11); A8 and B6 pass, A9, B7 and D8 are
+# refused.
 MAX_WEYL_ORDER = 350_000
 
 
@@ -93,49 +94,64 @@ class RennerMonoid:
         self.weyl = WeylGroup(
             {g.index: p for g, p in self.generators.items() if g.kind == "s"},
             self.fam.degree,
+            order,
         )
         self.lattice = CrossSectionLattice(self.fam, self.generators, self.weyl)
 
         # Per lattice element e: its byte table, keyed by its image bytes; for
         # a nonunit e its left-factor table, the values of w1 on dom(e) in
-        # increasing order, as bytes -> w1, over the w1 right-minimal modulo
-        # the absorbing parabolic of e (no key repeats: two units agree on
-        # dom(e) exactly when they differ by an element of that parabolic);
-        # and its orbit, the domain u(dom e) of each conjugate u * e * u^-1,
-        # by a breadth-first walk -> (e, w2 on W's own bytes, image bytes of
-        # e * w2, the left-factor table or None), keyed by the domain's mask
-        # once walked.  w2^-1 carries dom(e) onto the domain in increasing
-        # order (w2 has no left descent among the reflections swapping
-        # neighbours in dom(e)), so for an x with that domain the values of
-        # x * w2^-1 on dom(e) are those of x, in order.
+        # increasing order (one slice when dom(e) is an interval, as all but
+        # the branch idempotent f are), as bytes -> w1, over the w1
+        # right-minimal modulo the absorbing parabolic of e (no key repeats:
+        # two units agree on dom(e) exactly when they differ by an element of
+        # that parabolic); and its orbit, the domain u(dom e) of each
+        # conjugate u * e * u^-1, walked breadth-first on W's indices by its
+        # left columns from u = 1 -> (e, w2 on W's own bytes, image bytes of
+        # e * w2, the left-factor table or None), keyed by the domain's mask:
+        # u^-1's image bytes translated by `in_dom`, 1 on dom(e) and 0
+        # elsewhere.  A domain keeps the first u that reaches it.  w2 is the
+        # minimum of W_com(e) * u^-1, and w2^-1 carries dom(e) onto the domain
+        # in increasing order (w2 has no left descent among the reflections
+        # swapping neighbours in dom(e)), so for an x with that domain the
+        # values of x * w2^-1 on dom(e) are those of x, in order.
         self._idem_tables: dict[bytes, bytes] = {}
         self._conjugation: dict[bytes, tuple] = {}
-        reflections = [self.weyl.s(i) for i in self.weyl.s_indices]
+        weyl = self.weyl
+        images, inv = weyl.images, weyl._inv
+        cols = [weyl._step[i] for i in weyl.s_indices]
         for e in self.lattice.elements:
             tm = self.lattice.type_map(e)
             idem = self._idem_tables[e.idem._b] = byte_table(e.idem)
+            in_dom = idem.translate(_DOMAIN)
+            dom = e.idem._b.replace(b"\0", b"")
             table = None
             if e.name is not None:
-                minima = self.weyl.coset_minima_images(tm.absorbing)
-                at = [j - 1 for j in e.idem.domain()]
-                pick = itemgetter(*at) if len(at) > 1 else lambda image: [image[j] for j in at]
-                table = {bytes(pick(w)): w for w in minima}
+                minima = weyl.coset_minima_images(tm.absorbing)
+                lo, hi = (dom[0] - 1, dom[-1]) if dom else (0, 0)
+                if hi - lo == len(dom):
+                    keys = map(itemgetter(slice(lo, hi)), minima)
+                else:
+                    keys = map(bytes, map(itemgetter(*[j - 1 for j in dom]), minima))
+                table = dict(zip(keys, minima))
                 if len(table) != len(minima):
                     raise RuntimeError(f"two left factors under {e.token} agree on its domain")
-            orbit: dict[tuple[int, ...], tuple] = {}
-            queue = [(e.idem.domain(), self.identity, self.identity)]
-            for dom, s, u in queue:
-                if dom in orbit:
+            orbit = set()
+            walk = [0]
+            for k in walk:
+                u_inv = images[inv[k]]
+                key = u_inv.translate(in_dom)
+                if key in orbit:
                     continue
-                u = s * u
-                w2 = self.weyl.min_coset_rep(u.inverse(), tm.commuting, "left")
-                if tuple(map(w2.inverse(), e.idem.domain())) != dom:
+                orbit.add(key)
+                w2 = weyl.min_coset_rep(_unchecked(u_inv), tm.commuting, "left")
+                ew2 = w2._b.translate(idem)
+                if ew2.translate(_DOMAIN) != key or ew2.replace(b"\0", b"") != dom:
                     raise RuntimeError(
-                        f"w2^-1 does not carry dom({e.token}) onto {dom} in order"
+                        f"w2^-1 does not carry dom({e.token}) onto"
+                        f" {_unchecked(key).domain()} in order"
                     )
-                orbit[dom] = (e, w2, w2._b.translate(idem), table)
-                queue += [(tuple(sorted(map(s, dom))), s, u) for s in reflections]
-            self._conjugation.update((c[2].translate(_DOMAIN), c) for c in orbit.values())
+                self._conjugation[key] = (e, w2, ew2, table)
+                walk += [col[k] for col in cols]
 
     @property
     def identity(self) -> PartialInjection:

@@ -2,15 +2,19 @@
 
 Nothing here touches normal forms, type maps, or coset tables; each oracle
 recomputes its answer from first principles so that it can legitimately
-check the corresponding engine path.  There are two exceptions.
+check the corresponding engine path.  There are three exceptions.
 `brute_normal_decompose` reduces its cosets with `WeylGroup.min_coset_rep`,
 itself checked against `brute_min_coset`.  `product_multiply` decomposes
 with the engine, so it checks only how `RennerMonoid.multiply` composes,
 against the `PartialInjection` product of the two `value`s.
-`relation_sort_key` checks order, not content: it reads each relation
-back.  `up_intersection_words` re-derives the `typemap` words pair by pair
-from `brute_up_minima`, and `join_domains` is no oracle: it regroups
-`RennerMonoid.joins` by pair for the tests that check it.  `byte_closure`
+`conjugation_table` reduces its domains' conjugators with
+`min_coset_rep` too, and reads the coset minima behind its left-factor
+tables off `WeylGroup.iter_coset_minima`, itself checked against
+`brute_coset_minima`.  `relation_sort_key` checks order, not content: it
+reads each relation back.  `up_intersection_words` re-derives the
+`typemap` words pair by pair from `brute_up_minima`, and `join_domains` is
+no oracle: it regroups `RennerMonoid.joins` by pair for the tests that
+check it.  `byte_closure`
 acts by `byte_table`s, themselves checked against `PartialInjection`
 products, so it checks only what `enumerate_monoid` skips; `_subgroup`, the
 parabolic subgroup behind the brute-force coset minima, closes its
@@ -335,6 +339,45 @@ def brute_normal_decompose(engine, x):
     w2 = weyl.min_coset_rep(w, commuting, "left")
     w1 = weyl.min_coset_rep(ext * w2.inverse(), absorbing, "right")
     return w1, e, w2
+
+
+def conjugation_table(engine):
+    """`RennerMonoid`'s conjugation table walked on `PartialInjection`
+    products, the reference for the engine's walk on W's indices.
+
+    Per lattice element e, in lattice order: a breadth-first walk of the
+    domains u(dom e), from u = 1 by left products with the simple
+    reflections, each domain kept as first popped.  Each maps its mask
+    (1 on the domain, 0 elsewhere), in the order walked, to e, the image
+    bytes of w2, the minimum of W_C * u^-1 with C the reflections commuting
+    with e, those of e * w2, and e's left-factor table (None at the unit):
+    the values on dom(e), point by point, of each w1 minimal in w1 * W_A,
+    A the reflections e absorbs, -> w1's image bytes.
+    """
+    weyl, n = engine.weyl, engine.fam.degree
+    reflections = [weyl.s(i) for i in weyl.s_indices]
+    table = {}
+    for e in engine.lattice.elements:
+        dom = e.idem.domain()
+        commuting = [i for i in weyl.s_indices if weyl.s(i) * e.idem == e.idem * weyl.s(i)]
+        absorbing = [i for i in commuting if weyl.s(i) * e.idem == e.idem]
+        left = None
+        if e.name is not None:
+            minima = weyl.iter_coset_minima(absorbing, "right")
+            left = {bytes([w(j) for j in dom]): w._b for w in minima}
+        orbit = {}
+        queue = [(dom, weyl.identity, weyl.identity)]
+        for d, s, u in queue:
+            if d in orbit:
+                continue
+            u = s * u
+            w2 = weyl.min_coset_rep(u.inverse(), commuting, "left")
+            assert tuple(map(w2.inverse(), dom)) == d, "w2^-1 does not carry dom(e) in order"
+            orbit[d] = (e, w2._b, (e.idem * w2)._b, left)
+            queue += [(tuple(sorted(map(s, d))), s, u) for s in reflections]
+        for d, entry in orbit.items():
+            table[bytes([j in d for j in range(1, n + 1)])] = entry
+    return table
 
 
 def value(nf):

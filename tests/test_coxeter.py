@@ -14,6 +14,7 @@ from oracles import (
     join_domains,
     reflection_product,
     tuple_weyl_tables,
+    weyl_order,
 )
 from rennermonoids import MonoidFamily, PartialInjection, WeylGroup, build_generators
 
@@ -146,7 +147,7 @@ def test_in_parabolic(engine):
 def _weyl_gens(family, rank):
     fam = MonoidFamily(family, rank)
     gens = build_generators(fam).items()
-    return {g.index: p for g, p in gens if g.kind == "s"}, fam.degree
+    return {g.index: p for g, p in gens if g.kind == "s"}, fam.degree, weyl_order(family, rank)
 
 
 TABLE_RANKS = [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 6)]
@@ -162,8 +163,8 @@ def _derived_right_steps(weyl):
 
 @pytest.mark.parametrize("family,rank", TABLE_RANKS)
 def test_tables_match_tuple_construction(family, rank):
-    gens, degree = _weyl_gens(family, rank)
-    weyl = WeylGroup(gens, degree)
+    gens, degree, order = _weyl_gens(family, rank)
+    weyl = WeylGroup(gens, degree, order)
     ref = tuple_weyl_tables(gens, degree)
     assert tuple(weyl) == ref["elements"]
     assert weyl.images == list(map(bytes, ref["index"]))
@@ -188,14 +189,39 @@ def test_right_steps_are_products(family, rank):
             assert elements[col[k]] == w * weyl.s(i)
 
 
+@pytest.mark.parametrize(
+    "order,message",
+    [(47, "more than 47 elements"), (49, "48 elements, not 49"), (1000, "48 elements, not 1000")],
+)
+def test_wrong_order_is_refused(order, message):
+    gens, degree, _ = _weyl_gens("B", 3)
+    with pytest.raises(ValueError, match=f"^the generators make {message}$"):
+        WeylGroup(gens, degree, order)
+
+
+def test_generator_that_is_no_involution_is_refused():
+    gens = {1: PartialInjection.transpositions(3, (1, 2)), 2: PartialInjection((2, 3, 1))}
+    with pytest.raises(ValueError, match="^simple reflection 2 is not an involution$"):
+        WeylGroup(gens, 3, 6)
+
+
+def test_edge_inside_a_breadth_first_level_is_refused():
+    # the Klein four-group's double transpositions in S4 all have length 1,
+    # and (12)(34) * (13)(24) = (14)(23) joins two of them
+    pairs = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    gens = {i: PartialInjection.transpositions(4, *p) for i, p in enumerate(pairs, start=1)}
+    with pytest.raises(RuntimeError, match="not a Coxeter system"):
+        WeylGroup(gens, 4, 4)
+
+
 def test_degree_above_byte_limit_is_refused():
     with pytest.raises(ValueError, match="255"):
-        WeylGroup({1: PartialInjection.transpositions(256, (1, 2))}, 256)
+        WeylGroup({1: PartialInjection.transpositions(256, (1, 2))}, 256, 2)
 
 
-# D7, the largest unit group the engine builds, peaks at 170 MB (Python 3.11,
+# D7, the largest unit group the engine builds, peaks at 166 MB (Python 3.11,
 # Linux) with W and its tables on image bytes, and at 242-244 MB with a
-# PartialInjection per unit.  The bound leaves 20 MB, about 12%, for other
+# PartialInjection per unit.  The bound leaves 24 MB, about 14%, for other
 # machines and Python builds.
 D7_PEAK_MB = 190
 

@@ -14,6 +14,7 @@ from oracles import (
     brute_normal_decompose,
     by_token,
     cheapest_word_costs,
+    conjugation_table,
     image_bytes,
     join_domains,
     product_multiply,
@@ -21,6 +22,7 @@ from oracles import (
     value,
     word_costs_01,
 )
+from test_coxeter import TABLE_RANKS
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("D", 3)]
 ORACLE_RANKS = [("A", 2), ("A", 3), ("B", 2), ("D", 3)]
@@ -223,6 +225,26 @@ def test_decompose_and_multiply_refuse_a_corrupted_table():
         eng.multiply(unit_nf, nf)
     with pytest.raises(RuntimeError, match=message):
         eng.left_mult_generator(1, e1_nf)  # s1 * e1 is x
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [*TABLE_RANKS, *[pytest.param("D", r, marks=pytest.mark.exhaustive) for r in (6, 7)]],
+)
+def test_conjugation_table_matches_the_product_walk(engine, family, rank):
+    # keys in the order walked, each entry's e, w2 and e * w2, and the
+    # left-factor table its lattice element's orbit shares
+    eng = engine(family, rank)
+    got, ref = eng._conjugation, conjugation_table(eng)
+    assert [(key, e, w2._b, ew2) for key, (e, w2, ew2, _) in got.items()] == [
+        (key, *entry[:3]) for key, entry in ref.items()
+    ]
+    left = {e.idem._b: table for e, _, _, table in got.values()}
+    assert all(table is left[e.idem._b] for e, _, _, table in got.values())
+    ref_left = {e.idem._b: table for e, _, _, table in ref.values()}
+    assert {k: t and list(t.items()) for k, t in left.items()} == {
+        k: t and list(t.items()) for k, t in ref_left.items()
+    }
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])

@@ -28,6 +28,25 @@ joins_of = functools.lru_cache(maxsize=None)(join_domains)
 bounded = settings(max_examples=50, derandomize=True, deadline=None)
 
 
+@pytest.mark.parametrize("family,rank", LARGEST)
+@bounded
+@given(data=st.data())
+def test_descents_read_off_the_walk_agree_with_products(engine, family, rank, data):
+    # past the tuple oracle's ranks: s_i steps back, the left mask holds i
+    # exactly when s_i * w_k is earlier in the walk and shorter, and the
+    # right mask of w is the left mask of w^-1
+    weyl = engine(family, rank).weyl
+    k = data.draw(st.integers(0, len(weyl) - 1))
+    i = data.draw(st.sampled_from(weyl.s_indices))
+    step, left, right = weyl._step[i], weyl._desc["left"], weyl._desc["right"]
+    w = PartialInjection(tuple(weyl.images[k]))
+    assert step[step[k]] == k
+    assert weyl.index(weyl.s(i) * w) == step[k]
+    shorter = len(weyl.reduced_word(weyl.s(i) * w)) < len(weyl.reduced_word(w))
+    assert bool(left[k] >> i & 1) == (step[k] < k) == shorter
+    assert right[k] == left[weyl.index(w.inverse())]
+
+
 def random_word(data, eng):
     """A unit word, at most one idempotent letter, a unit word; or a word in
     the whole alphabet, which tends to fall to low-rank idempotents."""
