@@ -12,9 +12,10 @@ its shorter end, which fills both ends' entries; an entry already filled
 when the walk reaches w is a left descent of w.  Only the left
 action is stored, with each element's inverse: the right side comes
 through inversion, as w * s = (s * w^-1)^-1, so the right descents of w
-are the left descents of w^-1.  Coset queries are walks and bitmask tests
-(bit i for s_i) on integer-indexed tables: w is minimal in w * W_I iff no
-right descent of w lies in I (Bjorner-Brenti, GTM 231, 2.4).
+are the left descents of w^-1.  Coset queries, one method each, are walks
+and bitmask tests (bit i for s_i) on integer-indexed tables: w is minimal
+in w * W_I iff no right descent of w lies in I (Bjorner-Brenti, GTM 231,
+2.4), and `min_coset_rep` reduces in W_I * w only.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class WeylGroup:
     tables once.  A generator that is not an involution or a wrong order
     raises ValueError, and an edge inside one level (no Coxeter system)
     RuntimeError.  Descent sets stay internal bitmasks: callers ask
-    whether w is minimal in its coset as min_coset_rep(w, I, side) == w.
-    Immutable after construction.
+    whether w is minimal in W_I * w as min_coset_rep(w, I) == w, and in
+    w * W_I as the same question of w^-1.  Immutable after construction.
     """
 
     def __init__(self, gens: dict[int, PartialInjection], degree: int, order: int):
@@ -143,17 +144,15 @@ class WeylGroup:
             k = step[i][k]
         return tuple(word)
 
-    def min_coset_rep(
-        self, w: PartialInjection, I: Iterable[int], side: str = "right"
-    ) -> PartialInjection:
-        """Minimal-length element of W_I * w (side "left") or w * W_I (side
-        "right"), the latter the inverse of the minimum of W_I * w^-1."""
-        right = self._side(side) is self._desc["right"]
-        desc, step, inv, m = self._desc["left"], self._step, self._inv, _mask(I)
-        k = inv[self.index(w)] if right else self.index(w)
+    def min_coset_rep(self, w: PartialInjection, I: Iterable[int]) -> PartialInjection:
+        """Minimal-length element of W_I * w: w with its lowest left descent
+        in I stripped until none is left.  The minimum of w * W_I is the
+        inverse of the minimum of W_I * w^-1."""
+        desc, step, m = self._desc["left"], self._step, _mask(I)
+        k = self.index(w)
         while ds := desc[k] & m:
             k = step[(ds & -ds).bit_length() - 1][k]
-        return _unchecked(self.images[inv[k] if right else k])
+        return _unchecked(self.images[k])
 
     def _walk(self, I: Iterable[int], masks: list[int], m: int) -> list[int]:
         """The indices reached from 1 by left steps s_i, i in I, through the
@@ -195,9 +194,3 @@ class WeylGroup:
         "left"), in index order: those with no descent on that side in I."""
         m = _mask(I)
         return list(compress(self.images, [not d & m for d in self._side(side)]))
-
-    def iter_coset_minima(
-        self, I: Iterable[int], side: str = "right"
-    ) -> Iterator[PartialInjection]:
-        """The elements of `coset_minima_images`, wrapped."""
-        return map(_unchecked, self.coset_minima_images(I, side))

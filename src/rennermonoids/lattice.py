@@ -48,7 +48,7 @@ class CrossSectionLattice:
     theirs, and the two factors commute elementwise, which holds exactly when
     each absorbing generator commutes with each nonabsorbing one.  Parabolics
     and coset minima are left to `WeylGroup.parabolic` and
-    `WeylGroup.iter_coset_minima` on the type maps.  Queries key an element
+    `WeylGroup.coset_minima_images` on the type maps.  Queries key an element
     by its idempotent's image bytes, as `by_image` indexes the elements, so
     another engine's equal element gets the same answer and one not held
     raises KeyError.  Immutable after construction.

@@ -109,11 +109,13 @@ class RennerMonoid:
         # left columns from u = 1 -> (e, w2 on W's own bytes, image bytes of
         # e * w2, the left-factor table or None), keyed by the domain's mask:
         # u^-1's image bytes translated by `in_dom`, 1 on dom(e) and 0
-        # elsewhere.  A domain keeps the first u that reaches it.  w2 is the
-        # minimum of W_com(e) * u^-1, and w2^-1 carries dom(e) onto the domain
-        # in increasing order (w2 has no left descent among the reflections
-        # swapping neighbours in dom(e)), so for an x with that domain the
-        # values of x * w2^-1 on dom(e) are those of x, in order.
+        # elsewhere; the table is the walk's visited set.  A domain keeps the
+        # first u that reaches it, and one another lattice element holds
+        # raises RuntimeError.  w2 is the minimum of W_com(e) * u^-1, and
+        # w2^-1 carries dom(e) onto the domain in increasing order (w2 has no
+        # left descent among the reflections swapping neighbours in dom(e)),
+        # so for an x with that domain the values of x * w2^-1 on dom(e) are
+        # those of x, in order.
         self._idem_tables: dict[bytes, bytes] = {}
         self._conjugation: dict[bytes, tuple] = {}
         weyl = self.weyl
@@ -135,15 +137,16 @@ class RennerMonoid:
                 table = dict(zip(keys, minima))
                 if len(table) != len(minima):
                     raise RuntimeError(f"two left factors under {e.token} agree on its domain")
-            orbit = set()
             walk = [0]
             for k in walk:
                 u_inv = images[inv[k]]
                 key = u_inv.translate(in_dom)
-                if key in orbit:
-                    continue
-                orbit.add(key)
-                w2 = weyl.min_coset_rep(_unchecked(u_inv), tm.commuting, "left")
+                if key in self._conjugation:
+                    if (held := self._conjugation[key][0]) is e:
+                        continue
+                    d = _unchecked(key).domain()
+                    raise RuntimeError(f"lattice elements {held.token} and {e.token} share {d}")
+                w2 = weyl.min_coset_rep(_unchecked(u_inv), tm.commuting)
                 ew2 = w2._b.translate(idem)
                 if ew2.translate(_DOMAIN) != key or ew2.replace(b"\0", b"") != dom:
                     raise RuntimeError(
@@ -152,10 +155,6 @@ class RennerMonoid:
                     )
                 self._conjugation[key] = (e, w2, ew2, table)
                 walk += [col[k] for col in cols]
-
-    @property
-    def identity(self) -> PartialInjection:
-        return self.weyl.identity
 
     @property
     def alphabet(self) -> tuple[GeneratorName, ...]:

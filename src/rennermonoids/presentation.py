@@ -226,27 +226,30 @@ def verify_completeness(
     triple values) pins down that evaluation is a bijection from triples to
     the monoid.  Both sides are counted in the closure's own encoding, the
     image bytes of inverses (`RennerMonoid.inverse_images`), so no element
-    is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes (W's
-    own, as the inverses of the right coset minima are the left ones)
-    translated by the `byte_table` of w2^-1 * e.  The monoid is held once:
-    each value is marked True in the closure's own dict, in place, and is
-    freed on the spot if it is already a key; a value outside the closure
-    becomes a key of its own.  Keys still None are then the missing ones,
-    and the distinct values are all other keys.
+    is decoded: (w1 * e * w2)^-1 = w2^-1 * e * w1^-1 is w1^-1's bytes
+    translated by the table of w2^-1 * e, which is e's `byte_table`
+    translated by w2^-1's bytes, with no product.  Both inverses are W's own
+    bytes, as those of the right coset minima are the left ones and back.
+    The monoid is held once: each value is marked True in the closure's own
+    dict, in place, and is freed on the spot if it is already a key; a value
+    outside the closure becomes a key of its own.  Keys still None are then
+    the missing ones, and the distinct values are all other keys.
     """
     closure = engine.inverse_images(cap)
     size = len(closure)
     weyl = engine.weyl
     total = 0
     breakdown = []
+    unit = weyl.images[0]
     for e in engine.lattice.elements:
         tm = engine.lattice.type_map(e)
         w1_inv = weyl.coset_minima_images(tm.absorbing, "left")
-        w2s = list(weyl.iter_coset_minima(tm.commuting, "left"))
-        breakdown.append((e.token, len(w1_inv), len(w2s)))
-        total += len(w1_inv) * len(w2s)
-        for w2 in w2s:
-            table = byte_table(w2.inverse() * e.idem)
+        w2_inv = weyl.coset_minima_images(tm.commuting)
+        breakdown.append((e.token, len(w1_inv), len(w2_inv)))
+        total += len(w1_inv) * len(w2_inv)
+        idem = byte_table(e.idem)
+        for w in w2_inv:
+            table = idem.translate(bytes.maketrans(unit, w))
             closure.update(zip(map(bytes.translate, w1_inv, repeat(table)), repeat(True)))
     missing = countOf(closure.values(), None)
     return CompletenessReport(

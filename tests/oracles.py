@@ -9,16 +9,18 @@ with the engine, so it checks only how `RennerMonoid.multiply` composes,
 against the `PartialInjection` product of the two `value`s.
 `conjugation_table` reduces its domains' conjugators with
 `min_coset_rep` too, and reads the coset minima behind its left-factor
-tables off `WeylGroup.iter_coset_minima`, itself checked against
-`brute_coset_minima`.  `relation_sort_key` checks order, not content: it
-reads each relation back.  `up_intersection_words` re-derives the
-`typemap` words pair by pair from `brute_up_minima`, and `join_domains` is
-no oracle: it regroups `RennerMonoid.joins` by pair for the tests that
-check it.  `byte_closure`
-acts by `byte_table`s, themselves checked against `PartialInjection`
-products, so it checks only what `enumerate_monoid` skips; `_subgroup`, the
-parabolic subgroup behind the brute-force coset minima, closes its
-reflections by `byte_table`s too.
+tables off `WeylGroup.coset_minima_images`, in its index order.
+`coset_minima` is no oracle: it wraps those minima, which are checked
+against `brute_coset_minima`, for the tests that read them as elements; a
+right-side minimum is the inverse of `min_coset_rep` of the inverse, as
+`brute_min_coset` checks on both sides.  `relation_sort_key` checks
+order, not content: it reads each relation back.  `up_intersection_words`
+re-derives the `typemap` words pair by pair from `brute_up_minima`, and
+`join_domains` is no oracle either: it regroups `RennerMonoid.joins` by
+pair for the tests that check it.  `byte_closure` acts by `byte_table`s,
+themselves checked against `PartialInjection` products, so it checks only
+what `enumerate_monoid` skips; `_subgroup`, the parabolic subgroup behind
+the brute-force coset minima, closes its reflections by `byte_table`s too.
 """
 
 import functools
@@ -146,9 +148,9 @@ def cheapest_word_costs(engine) -> dict:
     unit (the empty word).
     """
     gens = [(p, 1 if g.kind == "s" else 0) for g, p in engine.generators.items()]
-    dist = {engine.identity: 0}
+    dist = {engine.weyl.identity: 0}
     counter = itertools.count()
-    heap = [(0, next(counter), engine.identity)]
+    heap = [(0, next(counter), engine.weyl.identity)]
     while heap:
         d, _, x = heapq.heappop(heap)
         if d > dist.get(x, d + 1):
@@ -248,6 +250,12 @@ def brute_double_coset_minima(weyl, left_gens, right_gens):
     return frozenset(minima)
 
 
+def coset_minima(weyl, gens, side="right"):
+    """`WeylGroup.coset_minima_images` as a frozenset of `PartialInjection`s:
+    the minima of the cosets w*W_I (or W_I*w, side "left")."""
+    return frozenset(map(_unchecked, weyl.coset_minima_images(gens, side)))
+
+
 def brute_coset_minima(weyl, gens, side):
     """The minima of all cosets w*W_I (or W_I*w), one coset at a time."""
     sub = _subgroup(weyl, frozenset(gens))
@@ -336,8 +344,8 @@ def brute_normal_decompose(engine, x):
     e, w = _conjugator(engine, dom)
     commuting = [i for i in weyl.s_indices if weyl.s(i) * e.idem == e.idem * weyl.s(i)]
     absorbing = [i for i in commuting if weyl.s(i) * e.idem == e.idem]
-    w2 = weyl.min_coset_rep(w, commuting, "left")
-    w1 = weyl.min_coset_rep(ext * w2.inverse(), absorbing, "right")
+    w2 = weyl.min_coset_rep(w, commuting)
+    w1 = weyl.min_coset_rep((ext * w2.inverse()).inverse(), absorbing).inverse()
     return w1, e, w2
 
 
@@ -363,7 +371,7 @@ def conjugation_table(engine):
         absorbing = [i for i in commuting if weyl.s(i) * e.idem == e.idem]
         left = None
         if e.name is not None:
-            minima = weyl.iter_coset_minima(absorbing, "right")
+            minima = map(_unchecked, weyl.coset_minima_images(absorbing))
             left = {bytes([w(j) for j in dom]): w._b for w in minima}
         orbit = {}
         queue = [(dom, weyl.identity, weyl.identity)]
@@ -371,7 +379,7 @@ def conjugation_table(engine):
             if d in orbit:
                 continue
             u = s * u
-            w2 = weyl.min_coset_rep(u.inverse(), commuting, "left")
+            w2 = weyl.min_coset_rep(u.inverse(), commuting)
             assert tuple(map(w2.inverse(), dom)) == d, "w2^-1 does not carry dom(e) in order"
             orbit[d] = (e, w2._b, (e.idem * w2)._b, left)
             queue += [(tuple(sorted(map(s, d))), s, u) for s in reflections]

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,33 @@ def run_json(capsys, family, rank, *rest):
     code = main(["--family", family, "--rank", str(rank), "--json", *rest])
     captured = capsys.readouterr()
     return code, json.loads(captured.out), captured.err
+
+
+def readme_cli_examples():
+    """The `renner` lines of the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("renner ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_examples(capsys, line):
+    # each example exits 0, and prints every line its comment promises after
+    # "->", the lines separated by commas
+    command, _, comment = line.partition("#")
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    promised = comment.partition("->")[2]
+    assert {want.strip() for want in promised.split(",") if want.strip()} <= set(out.splitlines())
+
+
+def test_readme_cli_examples_promise_output():
+    promises = [line.partition("->")[2] for line in readme_cli_examples()]
+    assert [p.strip() for p in promises if p] == [
+        "word: e0, length: 0",
+        "count: 7",
+        "verdict: pass",
+    ]
 
 
 def test_parse_word(engine):
@@ -222,12 +251,29 @@ def test_failed_internal_check_exits_4_without_traceback(capsys, monkeypatch):
 def test_failed_build_check_exits_4(capsys, monkeypatch):
     import rennermonoids.coxeter as coxeter
 
-    monkeypatch.setattr(
-        coxeter.WeylGroup, "min_coset_rep", lambda self, w, gens, side: self.identity
-    )
+    monkeypatch.setattr(coxeter.WeylGroup, "min_coset_rep", lambda self, w, gens: self.identity)
     code, out, err = run(capsys, "--family", "A", "--rank", "3", "len", "1")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal check failed: w2^-1 does not carry dom(")
+
+
+def test_lattice_elements_sharing_a_domain_exit_4(capsys, monkeypatch):
+    from rennermonoids.lattice import CrossSectionLattice, LambdaElement
+
+    build = CrossSectionLattice.__init__
+
+    def doubled(self, fam, gens, weyl):
+        build(self, fam, gens, weyl)
+        # one more element on e1's idempotent, past the lattice's own checks
+        self.elements += (LambdaElement(GeneratorName.e(99), by_token(self, "e1").idem),)
+
+    monkeypatch.setattr(CrossSectionLattice, "__init__", doubled)
+    message = "lattice elements e1 and e99 share (1,)"
+    with pytest.raises(RuntimeError) as exc:
+        RennerMonoid("A", 3)
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "--family", "A", "--rank", "3", "len", "1")
+    assert (code, out, err) == (4, "", f"error: internal check failed: {message}\n")
 
 
 def test_join_escaping_the_absorbing_subgroup_exits_4(capsys, monkeypatch):

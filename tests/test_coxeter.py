@@ -82,12 +82,21 @@ def test_length_parity_across_cayley_edges(engine, family, rank):
             assert abs(weyl.length(weyl.s(i) * w) - weyl.length(w)) == 1
 
 
+def min_coset(weyl, w, gens, side):
+    """The minimum of W_I * w (side "left") or of w * W_I, the inverse of
+    the minimum of W_I * w^-1."""
+    if side == "left":
+        return weyl.min_coset_rep(w, gens)
+    return weyl.min_coset_rep(w.inverse(), gens).inverse()
+
+
 def test_min_coset_rep_examples(engine):
     weyl = engine("A", 3).weyl
     w = reflection_product(weyl, [1, 2, 1])
-    assert weyl.min_coset_rep(weyl.identity, {1, 2}, "right") == weyl.identity
-    assert weyl.min_coset_rep(w, {2}, "right") == reflection_product(weyl, [2, 1])
-    assert weyl.min_coset_rep(w, set(), "right") == w
+    # right-side minima: the minimum of w * W_I is that of W_I * w^-1, inverted
+    assert weyl.min_coset_rep(weyl.identity.inverse(), {1, 2}).inverse() == weyl.identity
+    assert weyl.min_coset_rep(w.inverse(), {2}).inverse() == reflection_product(weyl, [2, 1])
+    assert weyl.min_coset_rep(w.inverse(), set()).inverse() == w
 
 
 @pytest.mark.parametrize("family,rank", SMALL + [("D", 4)])
@@ -96,7 +105,7 @@ def test_descents_from_products(engine, family, rank):
     weyl = engine(family, rank).weyl
     for w in weyl:
         for side in ("left", "right"):
-            tabled = {i for i in weyl.s_indices if weyl.min_coset_rep(w, {i}, side) != w}
+            tabled = {i for i in weyl.s_indices if min_coset(weyl, w, {i}, side) != w}
             assert tabled == descents(weyl, w, side)
 
 
@@ -107,7 +116,7 @@ def test_min_coset_rep_against_brute_force(engine, family, rank):
         parabolic = weyl.parabolic(gens)
         for w in weyl:
             for side in ("left", "right"):
-                rep = weyl.min_coset_rep(w, gens, side)
+                rep = min_coset(weyl, w, gens, side)
                 assert rep == brute_min_coset(weyl, w, gens, side)
                 # length additivity across the factorization w = rep * p
                 p = rep.inverse() * w if side == "right" else w * rep.inverse()

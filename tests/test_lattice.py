@@ -7,6 +7,7 @@ from oracles import (
     brute_coset_minima,
     brute_up_minima,
     by_token,
+    coset_minima,
     descents,
     join_domains,
     reflection_product,
@@ -229,12 +230,12 @@ def test_coset_minima_examples(engine):
     all_w = frozenset(weyl)
     one = frozenset({weyl.identity})
     unit, e1, e0 = (lat.type_map(by_token(lat, t)) for t in ("1", "e1", "e0"))
-    assert frozenset(weyl.iter_coset_minima(unit.commuting, "left")) == one
-    assert frozenset(weyl.iter_coset_minima(unit.absorbing, "right")) == all_w
-    assert frozenset(weyl.iter_coset_minima(e1.absorbing, "right")) == all_w
-    assert frozenset(weyl.iter_coset_minima(e1.commuting, "left")) == all_w
-    assert frozenset(weyl.iter_coset_minima(e0.absorbing, "right")) == one
-    assert frozenset(weyl.iter_coset_minima(e0.commuting, "left")) == one
+    assert coset_minima(weyl, unit.commuting, "left") == one
+    assert coset_minima(weyl, unit.absorbing) == all_w
+    assert coset_minima(weyl, e1.absorbing) == all_w
+    assert coset_minima(weyl, e1.commuting, "left") == all_w
+    assert coset_minima(weyl, e0.absorbing) == one
+    assert coset_minima(weyl, e0.commuting, "left") == one
 
 
 @pytest.mark.parametrize("family,rank", SMALL)
@@ -243,10 +244,10 @@ def test_coset_minima_definition(engine, family, rank):
     lat, weyl = eng.lattice, eng.weyl
     for e in lat.elements:
         tm = lat.type_map(e)
-        right = frozenset(weyl.iter_coset_minima(tm.commuting, "right"))
-        left = frozenset(weyl.iter_coset_minima(tm.commuting, "left"))
-        right_absorbing = frozenset(weyl.iter_coset_minima(tm.absorbing, "right"))
-        left_absorbing = frozenset(weyl.iter_coset_minima(tm.absorbing, "left"))
+        right = coset_minima(weyl, tm.commuting)
+        left = coset_minima(weyl, tm.commuting, "left")
+        right_absorbing = coset_minima(weyl, tm.absorbing)
+        left_absorbing = coset_minima(weyl, tm.absorbing, "left")
         for w in weyl:
             left_d, right_d = descents(weyl, w, "left"), descents(weyl, w, "right")
             assert (w in right) == (not (right_d & tm.commuting))
@@ -332,8 +333,8 @@ def test_subgroup_membership_of_low_coset_minima(engine, family, rank):
             if not lat.leq(h, e):
                 continue
             com = lat.type_map(e).commuting
-            assert wh & frozenset(weyl.iter_coset_minima(com, "left")) <= absorbing
-            assert wh & frozenset(weyl.iter_coset_minima(com, "right")) <= absorbing
+            assert wh & coset_minima(weyl, com, "left") <= absorbing
+            assert wh & coset_minima(weyl, com) <= absorbing
 
 
 @pytest.mark.parametrize("family,rank", SMALL)

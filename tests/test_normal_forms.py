@@ -15,6 +15,7 @@ from oracles import (
     by_token,
     cheapest_word_costs,
     conjugation_table,
+    coset_minima,
     image_bytes,
     join_domains,
     product_multiply,
@@ -34,15 +35,15 @@ def all_normal_forms(eng):
     """Admissible triples enumerated straight from the coset minima."""
     for e in eng.lattice.elements:
         tm = eng.lattice.type_map(e)
-        for w1 in eng.weyl.iter_coset_minima(tm.absorbing, "right"):
-            for w2 in eng.weyl.iter_coset_minima(tm.commuting, "left"):
+        for w1 in coset_minima(eng.weyl, tm.absorbing):
+            for w2 in coset_minima(eng.weyl, tm.commuting, "left"):
                 yield NormalForm(w1, e, w2)
 
 
 def test_decompose_examples_rook_rank2(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    assert eng.normal_decompose(eng.identity) == NormalForm(
+    assert eng.normal_decompose(eng.weyl.identity) == NormalForm(
         weyl.identity, by_token(lat, "1"), weyl.identity
     )
     e1, s1 = by_token(lat, "e1"), weyl.s(1)
@@ -120,9 +121,10 @@ def test_decompose_refusal_messages(engine, family, rank, image, message):
 def test_decompose_and_multiply_refuse_other_degrees(engine):
     eng, other = engine("A", 3), engine("A", 2)
     with pytest.raises(ValueError) as exc:
-        eng.normal_decompose(other.identity)
+        eng.normal_decompose(other.weyl.identity)
     assert str(exc.value) == "degree mismatch: expected 3, got 2"
-    mine, theirs = eng.normal_decompose(eng.identity), other.normal_decompose(other.identity)
+    mine = eng.normal_decompose(eng.weyl.identity)
+    theirs = other.normal_decompose(other.weyl.identity)
     for a, b, message in [
         (mine, theirs, "degree mismatch: 3 != 2"),
         (theirs, mine, "degree mismatch: 2 != 3"),
@@ -135,7 +137,7 @@ def test_decompose_and_multiply_refuse_other_degrees(engine):
 
 def with_factor_of_a2(a2, a3, factor):
     """A3's identity form with ``factor`` taken from A2's."""
-    mine, theirs = a3.normal_decompose(a3.identity), a2.normal_decompose(a2.identity)
+    mine, theirs = a3.normal_decompose(a3.weyl.identity), a2.normal_decompose(a2.weyl.identity)
     w1, e, w2 = (getattr(theirs if f == factor else mine, f) for f in ("w1", "e", "w2"))
     return NormalForm(w1, e, w2)
 
@@ -146,7 +148,7 @@ def test_multiply_names_a_factor_of_another_degree(engine, factor, foreign_first
     """Whichever operand holds it: A2's w1 gives no 3-point table, and A2's e
     would send 3 to 0 unnoticed."""
     a2, a3 = engine("A", 2), engine("A", 3)
-    mine, foreign = a3.normal_decompose(a3.identity), with_factor_of_a2(a2, a3, factor)
+    mine, foreign = a3.normal_decompose(a3.weyl.identity), with_factor_of_a2(a2, a3, factor)
     with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
         a3.multiply(*((foreign, mine) if foreign_first else (mine, foreign)))
 
@@ -194,7 +196,7 @@ def test_forms_built_from_partial_injections_work_like_the_engines(engine, eleme
 def test_length_and_word_name_a_factor_outside_the_unit_group(engine, method):
     """B2's W holds no transposition of 1 and 2 alone."""
     b2 = engine("B", 2)
-    nf = b2.normal_decompose(b2.identity)
+    nf = b2.normal_decompose(b2.weyl.identity)
     outsider = PartialInjection((2, 1, 3, 4))
     message = r"^not an element of the unit group: PartialInjection\(\{1: 2, 2: 1, 3: 3, 4: 4\}"
     for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
@@ -215,7 +217,7 @@ def test_decompose_and_multiply_refuse_a_corrupted_table():
 
     eng = RennerMonoid("A", 2)  # not the suite's shared engine: it gets corrupted
     x = eng.evaluate([GeneratorName.s(1), GeneratorName.e(1)])
-    nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(eng.identity)
+    nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(eng.weyl.identity)
     e1_nf = eng.normal_decompose(eng.evaluate([GeneratorName.e(1)]))
     corrupt_left_factor(eng, x)
     message = "^normal decomposition does not reproduce its input$"
@@ -279,15 +281,15 @@ def test_membership_invariants_of_decomposition(engine, elements, family, rank):
     for x in elements(family, rank):
         nf = eng.normal_decompose(x)
         tm = eng.lattice.type_map(nf.e)
-        assert nf.w1 in frozenset(eng.weyl.iter_coset_minima(tm.absorbing, "right"))
-        assert nf.w2 in frozenset(eng.weyl.iter_coset_minima(tm.commuting, "left"))
+        assert nf.w1 in coset_minima(eng.weyl, tm.absorbing)
+        assert nf.w2 in coset_minima(eng.weyl, tm.commuting, "left")
         assert value(nf) == x
 
 
 def test_multiply_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    unit_nf = eng.normal_decompose(eng.identity)
+    unit_nf = eng.normal_decompose(eng.weyl.identity)
     a = NormalForm(weyl.identity, by_token(lat, "e1"), weyl.s(1))
     assert eng.multiply(a, unit_nf) == a
     assert eng.multiply(unit_nf, a) == a
@@ -479,10 +481,22 @@ def test_evaluate_reads_letters_by_value(engine, family, rank):
     assert eng.evaluate(fresh[::-1]) == eng.evaluate(eng.alphabet[::-1])
 
 
+@pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+def test_an_index_is_matched_by_value(engine, index):
+    # an index equal to 1 finds s1's table, as GeneratorName("s", 1.0) equals
+    # s1; -1 and "1" are refused by the tests above and below
+    eng = engine("A", 3)
+    s1, e2 = GeneratorName.s(1), GeneratorName.e(2)
+    assert GeneratorName("s", index) == s1
+    assert eng.evaluate([GeneratorName("s", index), e2]) == eng.evaluate([s1, e2])
+    nf = eng.normal_decompose(eng.evaluate([e2, GeneratorName.s(2)]))
+    assert eng.left_mult_generator(index, nf) == eng.left_mult_generator(1, nf) != nf
+
+
 @pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("D", 5)])
 def test_evaluate_does_not_hash_generator_names(engine, monkeypatch, family, rank):
     eng = engine(family, rank)
-    expected = eng.identity
+    expected = eng.weyl.identity
     for g in eng.alphabet:
         expected = expected * eng.generators[g]
 
@@ -552,7 +566,7 @@ def test_meet_under_contract(engine, family, rank):
 
 def test_left_mult_examples(engine):
     eng2 = engine("A", 2)
-    unit_nf = eng2.normal_decompose(eng2.identity)
+    unit_nf = eng2.normal_decompose(eng2.weyl.identity)
     assert eng2.left_mult_generator(1, unit_nf) == NormalForm(
         eng2.weyl.s(1), by_token(eng2.lattice, "1"), eng2.weyl.identity
     )
@@ -569,7 +583,7 @@ def test_left_mult_examples(engine):
 @pytest.mark.parametrize("i", [0, 3, -1, 4, "1"])
 def test_left_mult_rejects_an_unknown_index(engine, i):
     eng = engine("A", 3)
-    nf = eng.normal_decompose(eng.identity)
+    nf = eng.normal_decompose(eng.weyl.identity)
     with pytest.raises(ValueError, match=f"^no simple reflection with index {i}$"):
         eng.left_mult_generator(i, nf)
 
@@ -586,7 +600,7 @@ def test_decompositions_are_normal_forms_like_the_constructed_ones(engine, eleme
         assert nf == built and hash(nf) == hash(built) and repr(nf) == repr(built)
         assert pickle.dumps(nf) == pickle.dumps(built)
     # length still names a factor outside W, on either side
-    nf = eng.normal_decompose(eng.identity)
+    nf = eng.normal_decompose(eng.weyl.identity)
     outsider = PartialInjection.restriction(eng.fam.degree, [1])
     for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
         with pytest.raises(ValueError, match=r"^not an element of the unit group: Partial"):
@@ -595,8 +609,8 @@ def test_decompositions_are_normal_forms_like_the_constructed_ones(engine, eleme
 
 def test_left_mult_rejects_a_normal_form_of_another_degree(engine):
     a2, a3 = engine("A", 2), engine("A", 3)
-    theirs, mine = a2.normal_decompose(a2.identity), a3.normal_decompose(a3.identity)
-    for nf in (theirs, NormalForm(a2.identity, mine.e, mine.w2)):
+    theirs, mine = a2.normal_decompose(a2.weyl.identity), a3.normal_decompose(a3.weyl.identity)
+    for nf in (theirs, NormalForm(a2.weyl.identity, mine.e, mine.w2)):
         with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
             a3.left_mult_generator(1, nf)
 
@@ -618,7 +632,7 @@ def test_left_mult_dichotomy_agrees_with_multiply(engine, elements, family, rank
     weyl, lat = eng.weyl, eng.lattice
     absorbing = {e: lat.type_map(e).absorbing for e in lat.elements}
     right_absorbing = {
-        e: frozenset(weyl.iter_coset_minima(absorbing[e], "right")) for e in lat.elements
+        e: coset_minima(weyl, absorbing[e]) for e in lat.elements
     }
     for x in elements(family, rank):
         nf = eng.normal_decompose(x)

@@ -6,6 +6,7 @@ import pytest
 from rennermonoids import (
     GeneratorName,
     MonoidFamily,
+    PartialInjection,
     Relation,
     RennerMonoid,
     build_generators,
@@ -207,19 +208,39 @@ def test_completeness_counts_a_dropped_element(engine, monkeypatch):
 
 def test_completeness_counts_colliding_values(engine, monkeypatch):
     """At A3, e1 has three left factors and three right ones.  If one of
-    its w2 gets another's table, the three values of that w2 collide with
-    the other's, and the three elements they stood for go missing."""
-    import rennermonoids.presentation as presentation
+    its w2^-1 is counted in another's place, the three values of that w2
+    collide with the other's, and the three elements they stood for go
+    missing."""
+    from rennermonoids.coxeter import WeylGroup
 
     eng = engine("A", 3)
     e1 = by_token(eng.lattice, "e1")
-    w2s = list(eng.weyl.iter_coset_minima(eng.lattice.type_map(e1).commuting, "left"))
-    dropped, doubled = (w.inverse() * e1.idem for w in w2s[1:3])
-    real = presentation.byte_table
-    monkeypatch.setattr(presentation, "byte_table", lambda p: real(doubled if p == dropped else p))
+    w2_inv = eng.weyl.coset_minima_images(eng.lattice.type_map(e1).commuting)
+    doubled = [w2_inv[0], w2_inv[2], w2_inv[2]]
+    real = WeylGroup.coset_minima_images
+
+    def minima(self, I, side="right"):
+        found = real(self, I, side)
+        return doubled if found == w2_inv else found
+
+    monkeypatch.setattr(WeylGroup, "coset_minima_images", minima)
     rep = verify_completeness(eng)
     assert (rep.monoid_size, rep.triple_count, rep.value_count) == (34, 34, 31)
     assert (rep.collisions, rep.missing) == (3, 3) and not rep.ok
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_completeness_makes_no_product(engine, family, rank, monkeypatch):
+    """The count reads W's bytes and translates: once the engine is built,
+    it needs no `PartialInjection` product."""
+    eng = engine(family, rank)
+    expected = verify_completeness(eng)
+
+    def refuse(self, other):
+        raise AssertionError("PartialInjection product")
+
+    monkeypatch.setattr(PartialInjection, "__mul__", refuse)
+    assert verify_completeness(eng) == expected
 
 
 def traced_peak(run):

@@ -70,7 +70,7 @@ def test_evaluate_agrees_with_the_checked_product(engine, family, rank, data):
     else:  # A1 has no reflection letters
         word = data.draw(st.lists(st.sampled_from(eng.alphabet), max_size=12))
     for w in (word, []):
-        product = functools.reduce(operator.mul, (eng.generators[g] for g in w), eng.identity)
+        product = functools.reduce(operator.mul, (eng.generators[g] for g in w), eng.weyl.identity)
         checked = PartialInjection(product.image)
         got = eng.evaluate(w)
         assert got == checked and hash(got) == hash(checked)
