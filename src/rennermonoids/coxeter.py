@@ -95,10 +95,6 @@ class WeylGroup:
         self._desc_counts = Counter(ldesc)
 
     @property
-    def identity(self) -> PartialInjection:
-        return _unchecked(self.images[0])
-
-    @property
     def s_indices(self) -> tuple[int, ...]:
         return tuple(self._s)
 

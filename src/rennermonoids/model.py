@@ -19,13 +19,14 @@ insertion-ordered dict.  Its breadth-first search tries x * g
 only when g is a tree edge of x's suffix, the element spelt by x's first
 word less its first letter (Froidure and Pin, 1997): any other product has
 a shortlex-smaller word and was reached before.  So it makes about one
-product per element, in the full search's order.
+product per element, in the full search's order, keeping per element its
+suffix's position and a tuple of its tree edges, shared by equal edge sets.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial
+from itertools import accumulate
 from operator import eq, ge, gt, le, lt
 from typing import Iterable
 
@@ -315,8 +316,9 @@ def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> d
     bytes to x * g's, so no element is decoded.  The dict is the closure's own
     seen-set, handed over uncopied, in insertion order: x before y when x was
     reached first, and the products of one x in generator order.  Raises
-    ValueError above degree 255, and EnumerationCapExceeded as soon as the
-    closure would outgrow ``cap``.
+    ValueError above degree 255, and EnumerationCapExceeded exactly when the
+    closure outgrows ``cap``, once the element that crosses it has made its
+    products: at most r - 1 elements past it for r generators, r at the unit.
 
     Most products are never tried (Froidure and Pin, "Algorithms for
     computing finite semigroups", 1997).  The search first reaches x by its
@@ -327,39 +329,42 @@ def enumerate_monoid(fam: MonoidFamily, cap: int = DEFAULT_ENUMERATION_CAP) -> d
     w(x) g does, and skipping the product loses no element and moves none.
     A new x * g has suffix s * g, the child of s along g.  Suffixes lie one
     word length back, so the walk goes a level at a time and keeps the state
-    of two: each element's suffix position in the last level, and the first
-    child and tree-edge mask of each element of the last level.
+    of two: each element's suffix position in the last level, in a 4-byte
+    array, and each last-level element's tree edges, one tuple per edge set,
+    whose running counts place each one's first child.
     """
     tables = [byte_table(g.inverse()) for g in build_generators(fam).values()]
     unit = bytes(range(1, fam.degree + 1))
     seen: dict[bytes, None] = {unit: None}
-    # Tree-edge mask -> (bit, table, rank of the bit in the mask) per edge;
-    # the unit's mask, -1, tries every generator and ranks each child 0, the
-    # unit's own position, as the suffix of all of them.
-    steps = {-1: tuple((1 << i, table, 0) for i, table in enumerate(tables))}
-    # Masks outgrow a 4-byte int from 32 generators on.
-    masks_of = list if len(tables) > 31 else partial(array, "i")
-    level, suffix = [unit], array("i", [0])
-    first, masks = array("i", [0]), masks_of([-1])
+    # Tree-edge mask -> its (bit, table, rank of the bit in the mask) per
+    # edge, one tuple shared by every element with that mask.
+    steps: dict[int, tuple] = {}
+    # The unit tries every generator and ranks each child 0, the unit's own
+    # position, as the suffix of all of them.
+    level, suffix, first = [unit], array("i", [0]), array("i", [0])
+    edges = [tuple((1 << i, table, 0) for i, table in enumerate(tables))]
     while level:
-        nxt: list[bytes] = []
-        nxt_suffix, nxt_first, nxt_masks = array("i"), array("i"), masks_of()
+        nxt, nxt_suffix, nxt_edges = [], [], []
+        # Only a level that could cross the cap checks it: each element adds
+        # at most one element per generator.
+        checked = len(seen) + len(tables) * len(level) > cap
         for x, s in zip(level, suffix):
-            nxt_first.append(len(nxt))
-            base, mask, tree = first[s], masks[s], 0
-            edges = steps.get(mask)
-            if edges is None:
-                bits = [i for i in range(len(tables)) if mask >> i & 1]
-                edges = steps[mask] = tuple((1 << i, tables[i], k) for k, i in enumerate(bits))
-            for bit, table, k in edges:
+            base, tree = first[s], 0
+            for bit, table, k in edges[s]:
                 y = x.translate(table)
                 if y not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
                     seen[y] = None
                     nxt.append(y)
                     nxt_suffix.append(base + k)
                     tree |= bit
-            nxt_masks.append(tree)
-        level, suffix, first, masks = nxt, nxt_suffix, nxt_first, nxt_masks
+            try:
+                nxt_edges.append(steps[tree])
+            except KeyError:
+                bits = [i for i in range(len(tables)) if tree >> i & 1]
+                steps[tree] = tuple((1 << i, tables[i], k) for k, i in enumerate(bits))
+                nxt_edges.append(steps[tree])
+            if checked and len(seen) > cap:
+                raise EnumerationCapExceeded(f"enumeration cap exceeded: cap={cap}")
+        level, suffix, edges = nxt, array("i", nxt_suffix), nxt_edges
+        first = array("i", accumulate(map(len, edges), initial=0))
     return seen

@@ -85,11 +85,16 @@ def byte_closure(fam):
     return list(seen)
 
 
+def weyl_identity(weyl):
+    """The unit of ``weyl``: its first element, by its image bytes."""
+    return PartialInjection(tuple(weyl.images[0]))
+
+
 def reflection_product(weyl, word):
     """Product of the simple reflections s_i, i in ``word``, read left to
     right: a fold of `PartialInjection` products, the reference for
     `WeylGroup.reduced_word`."""
-    return functools.reduce(operator.mul, (weyl.s(i) for i in word), weyl.identity)
+    return functools.reduce(operator.mul, (weyl.s(i) for i in word), weyl_identity(weyl))
 
 
 def tuple_weyl_tables(gens, degree):
@@ -148,9 +153,9 @@ def cheapest_word_costs(engine) -> dict:
     unit (the empty word).
     """
     gens = [(p, 1 if g.kind == "s" else 0) for g, p in engine.generators.items()]
-    dist = {engine.weyl.identity: 0}
+    dist = {weyl_identity(engine.weyl): 0}
     counter = itertools.count()
-    heap = [(0, next(counter), engine.weyl.identity)]
+    heap = [(0, next(counter), weyl_identity(engine.weyl))]
     while heap:
         d, _, x = heapq.heappop(heap)
         if d > dist.get(x, d + 1):
@@ -201,7 +206,7 @@ def _subgroup(weyl, gens):
     """W_I by breadth-first closure of the products of its reflections, on
     image bytes: s_i * w is the bytes of w translated by the table of s_i."""
     tables = [byte_table(weyl.s(i)) for i in gens]
-    unit = bytes(weyl.identity.image)
+    unit = weyl.images[0]
     members, queue = {unit}, [unit]
     for w in queue:
         for table in tables:
@@ -374,7 +379,7 @@ def conjugation_table(engine):
             minima = map(_unchecked, weyl.coset_minima_images(absorbing))
             left = {bytes([w(j) for j in dom]): w._b for w in minima}
         orbit = {}
-        queue = [(dom, weyl.identity, weyl.identity)]
+        queue = [(dom, weyl_identity(weyl), weyl_identity(weyl))]
         for d, s, u in queue:
             if d in orbit:
                 continue

@@ -7,7 +7,7 @@ import pytest
 
 from rennermonoids import GeneratorName, PartialInjection, RennerMonoid
 from rennermonoids.cli import WordParseError, main, parse_word
-from oracles import by_token, up_intersection_words, weyl_order
+from oracles import by_token, up_intersection_words, weyl_identity, weyl_order
 from test_normal_forms import corrupt_left_factor
 from test_presentation import LADDER
 
@@ -251,7 +251,9 @@ def test_failed_internal_check_exits_4_without_traceback(capsys, monkeypatch):
 def test_failed_build_check_exits_4(capsys, monkeypatch):
     import rennermonoids.coxeter as coxeter
 
-    monkeypatch.setattr(coxeter.WeylGroup, "min_coset_rep", lambda self, w, gens: self.identity)
+    monkeypatch.setattr(
+        coxeter.WeylGroup, "min_coset_rep", lambda self, w, gens: weyl_identity(self)
+    )
     code, out, err = run(capsys, "--family", "A", "--rank", "3", "len", "1")
     assert (code, out) == (4, "")
     assert err.startswith("error: internal check failed: w2^-1 does not carry dom(")

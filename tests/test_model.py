@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,9 +221,9 @@ def test_pruned_closure_matches_the_full_search(family, rank):
     assert list(enumerate_monoid(fam)) == byte_closure(fam)
 
 
-def translate_calls(fam):
-    """The `bytes.translate` calls made by one `enumerate_monoid(fam)`,
-    counted on the profiler's c_call events, and the number of elements."""
+def counted_translates(call):
+    """The `bytes.translate` calls made by ``call()``, counted on the
+    profiler's c_call events, and its result."""
     calls = [0]
 
     def hook(frame, event, arg):
@@ -234,10 +235,17 @@ def translate_calls(fam):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        size = len(enumerate_monoid(fam))
+        result = call()
     finally:
         sys.setprofile(previous)
-    return calls[0], size
+    return calls[0], result
+
+
+def translate_calls(fam):
+    """The `bytes.translate` calls made by one `enumerate_monoid(fam)`, and
+    the number of elements."""
+    calls, closure = counted_translates(lambda: enumerate_monoid(fam))
+    return calls, len(closure)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 6), ("B", 4), ("D", 4)])
@@ -251,12 +259,43 @@ def test_closure_tries_about_one_product_per_element(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("D", 3), ("B", 3)])
 def test_enumeration_cap_boundary(family, rank):
+    """Every cap below |M| raises, naming the cap; every other returns M."""
     fam = MonoidFamily(family, rank)
     keys = byte_closure(fam)
+    for cap in range(1, len(keys)):
+        with pytest.raises(EnumerationCapExceeded, match=f"^enumeration cap exceeded: cap={cap}$"):
+            enumerate_monoid(fam, cap=cap)
     assert list(enumerate_monoid(fam, cap=len(keys))) == keys
-    message = f"^enumeration cap exceeded: cap={len(keys) - 1}$"
-    with pytest.raises(EnumerationCapExceeded, match=message):
-        enumerate_monoid(fam, cap=len(keys) - 1)
+
+
+def test_enumeration_cap_stops_the_walk_inside_a_level():
+    """A17's third level alone has 1,780 elements.  Inserting the 401st
+    element takes 1,235 `bytes.translate` calls (the generators' inverses
+    included), and the cap may let the element being walked finish its
+    products, at most one per generator; a walk that checked the cap only
+    between levels would make 3,191 calls."""
+    fam = MonoidFamily("A", 17)
+    r = len(build_generators(fam))
+
+    def capped():
+        with pytest.raises(EnumerationCapExceeded, match="^enumeration cap exceeded: cap=400$"):
+            enumerate_monoid(fam, cap=400)
+
+    calls, _ = counted_translates(capped)
+    assert calls <= 1235 + r
+
+
+def test_closure_keeps_little_beside_its_dict():
+    """The walk's state beside the returned dict: `tracemalloc`'s peak
+    during the B4 closure over the dict's own bytes, its keys included."""
+    tracemalloc.start()
+    try:
+        closure = enumerate_monoid(MonoidFamily("B", 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(closure) + sum(map(sys.getsizeof, closure))
+    assert peak <= 1.25 * own
 
 
 def test_enumeration_past_31_generators_reaches_the_cap():

@@ -21,6 +21,7 @@ from oracles import (
     product_multiply,
     reflection_product,
     value,
+    weyl_identity,
     word_costs_01,
 )
 from test_coxeter import TABLE_RANKS
@@ -43,13 +44,13 @@ def all_normal_forms(eng):
 def test_decompose_examples_rook_rank2(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    assert eng.normal_decompose(eng.weyl.identity) == NormalForm(
-        weyl.identity, by_token(lat, "1"), weyl.identity
+    assert eng.normal_decompose(weyl_identity(eng.weyl)) == NormalForm(
+        weyl_identity(weyl), by_token(lat, "1"), weyl_identity(weyl)
     )
     e1, s1 = by_token(lat, "e1"), weyl.s(1)
     x = PartialInjection((None, 1))
     assert x == eng.generators[GeneratorName.e(1)] * s1
-    assert eng.normal_decompose(x) == NormalForm(weyl.identity, e1, s1)
+    assert eng.normal_decompose(x) == NormalForm(weyl_identity(weyl), e1, s1)
     y = PartialInjection.restriction(2, [2])
     assert eng.normal_decompose(y) == NormalForm(s1, e1, s1)
 
@@ -121,10 +122,10 @@ def test_decompose_refusal_messages(engine, family, rank, image, message):
 def test_decompose_and_multiply_refuse_other_degrees(engine):
     eng, other = engine("A", 3), engine("A", 2)
     with pytest.raises(ValueError) as exc:
-        eng.normal_decompose(other.weyl.identity)
+        eng.normal_decompose(weyl_identity(other.weyl))
     assert str(exc.value) == "degree mismatch: expected 3, got 2"
-    mine = eng.normal_decompose(eng.weyl.identity)
-    theirs = other.normal_decompose(other.weyl.identity)
+    mine = eng.normal_decompose(weyl_identity(eng.weyl))
+    theirs = other.normal_decompose(weyl_identity(other.weyl))
     for a, b, message in [
         (mine, theirs, "degree mismatch: 3 != 2"),
         (theirs, mine, "degree mismatch: 2 != 3"),
@@ -137,7 +138,8 @@ def test_decompose_and_multiply_refuse_other_degrees(engine):
 
 def with_factor_of_a2(a2, a3, factor):
     """A3's identity form with ``factor`` taken from A2's."""
-    mine, theirs = a3.normal_decompose(a3.weyl.identity), a2.normal_decompose(a2.weyl.identity)
+    mine = a3.normal_decompose(weyl_identity(a3.weyl))
+    theirs = a2.normal_decompose(weyl_identity(a2.weyl))
     w1, e, w2 = (getattr(theirs if f == factor else mine, f) for f in ("w1", "e", "w2"))
     return NormalForm(w1, e, w2)
 
@@ -148,7 +150,7 @@ def test_multiply_names_a_factor_of_another_degree(engine, factor, foreign_first
     """Whichever operand holds it: A2's w1 gives no 3-point table, and A2's e
     would send 3 to 0 unnoticed."""
     a2, a3 = engine("A", 2), engine("A", 3)
-    mine, foreign = a3.normal_decompose(a3.weyl.identity), with_factor_of_a2(a2, a3, factor)
+    mine, foreign = a3.normal_decompose(weyl_identity(a3.weyl)), with_factor_of_a2(a2, a3, factor)
     with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
         a3.multiply(*((foreign, mine) if foreign_first else (mine, foreign)))
 
@@ -196,7 +198,7 @@ def test_forms_built_from_partial_injections_work_like_the_engines(engine, eleme
 def test_length_and_word_name_a_factor_outside_the_unit_group(engine, method):
     """B2's W holds no transposition of 1 and 2 alone."""
     b2 = engine("B", 2)
-    nf = b2.normal_decompose(b2.weyl.identity)
+    nf = b2.normal_decompose(weyl_identity(b2.weyl))
     outsider = PartialInjection((2, 1, 3, 4))
     message = r"^not an element of the unit group: PartialInjection\(\{1: 2, 2: 1, 3: 3, 4: 4\}"
     for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
@@ -217,7 +219,7 @@ def test_decompose_and_multiply_refuse_a_corrupted_table():
 
     eng = RennerMonoid("A", 2)  # not the suite's shared engine: it gets corrupted
     x = eng.evaluate([GeneratorName.s(1), GeneratorName.e(1)])
-    nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(eng.weyl.identity)
+    nf, unit_nf = eng.normal_decompose(x), eng.normal_decompose(weyl_identity(eng.weyl))
     e1_nf = eng.normal_decompose(eng.evaluate([GeneratorName.e(1)]))
     corrupt_left_factor(eng, x)
     message = "^normal decomposition does not reproduce its input$"
@@ -289,11 +291,11 @@ def test_membership_invariants_of_decomposition(engine, elements, family, rank):
 def test_multiply_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    unit_nf = eng.normal_decompose(eng.weyl.identity)
-    a = NormalForm(weyl.identity, by_token(lat, "e1"), weyl.s(1))
+    unit_nf = eng.normal_decompose(weyl_identity(eng.weyl))
+    a = NormalForm(weyl_identity(weyl), by_token(lat, "e1"), weyl.s(1))
     assert eng.multiply(a, unit_nf) == a
     assert eng.multiply(unit_nf, a) == a
-    zero_nf = NormalForm(weyl.identity, by_token(lat, "e0"), weyl.identity)
+    zero_nf = NormalForm(weyl_identity(weyl), by_token(lat, "e0"), weyl_identity(weyl))
     assert eng.multiply(a, a) == zero_nf
 
 
@@ -344,7 +346,7 @@ def test_sandwich_relation_pattern(engine, family, rank, imax):
         e = by_token(eng.lattice, f"e{i}")
         nf = eng.normal_decompose(e.idem * eng.weyl.s(i) * e.idem)
         assert nf == NormalForm(
-            eng.weyl.identity, by_token(eng.lattice, f"e{i - 1}"), eng.weyl.identity
+            weyl_identity(eng.weyl), by_token(eng.lattice, f"e{i - 1}"), weyl_identity(eng.weyl)
         )
         # the absorbed form coincides with it
         below = by_token(eng.lattice, f"e{i - 1}")
@@ -354,7 +356,8 @@ def test_sandwich_relation_pattern(engine, family, rank, imax):
 def test_length_examples(engine):
     eng = engine("A", 2)
     weyl, lat = eng.weyl, eng.lattice
-    assert eng.length(NormalForm(weyl.identity, by_token(lat, "e0"), weyl.identity)) == 0
+    one = weyl_identity(weyl)
+    assert eng.length(NormalForm(one, by_token(lat, "e0"), one)) == 0
     assert eng.length(NormalForm(weyl.s(1), by_token(lat, "e1"), weyl.s(1))) == 2
     for w in weyl:
         assert eng.length_of_element(w) == weyl.length(w)
@@ -415,7 +418,7 @@ def test_meet_under_examples(engine):
     assert joins_d["e3", "f3"][reflection_product(weyl_d, [3, 1, 2])].token == "e0"
     for e in lat_d.nonunit:
         for f in lat_d.nonunit:
-            assert joins_d[e.token, f.token][weyl_d.identity] == lat_d.meet(e, f)
+            assert joins_d[e.token, f.token][weyl_identity(weyl_d)] == lat_d.meet(e, f)
 
 
 def test_evaluate_rejects_unknown_generators(engine):
@@ -496,7 +499,7 @@ def test_an_index_is_matched_by_value(engine, index):
 @pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("D", 5)])
 def test_evaluate_does_not_hash_generator_names(engine, monkeypatch, family, rank):
     eng = engine(family, rank)
-    expected = eng.weyl.identity
+    expected = weyl_identity(eng.weyl)
     for g in eng.alphabet:
         expected = expected * eng.generators[g]
 
@@ -566,16 +569,16 @@ def test_meet_under_contract(engine, family, rank):
 
 def test_left_mult_examples(engine):
     eng2 = engine("A", 2)
-    unit_nf = eng2.normal_decompose(eng2.weyl.identity)
+    unit_nf = eng2.normal_decompose(weyl_identity(eng2.weyl))
     assert eng2.left_mult_generator(1, unit_nf) == NormalForm(
-        eng2.weyl.s(1), by_token(eng2.lattice, "1"), eng2.weyl.identity
+        eng2.weyl.s(1), by_token(eng2.lattice, "1"), weyl_identity(eng2.weyl)
     )
-    a = NormalForm(eng2.weyl.identity, by_token(eng2.lattice, "e1"), eng2.weyl.s(1))
+    a = NormalForm(weyl_identity(eng2.weyl), by_token(eng2.lattice, "e1"), eng2.weyl.s(1))
     assert eng2.left_mult_generator(1, a) == NormalForm(
         eng2.weyl.s(1), by_token(eng2.lattice, "e1"), eng2.weyl.s(1)
     )
     eng3 = engine("A", 3)
-    b = NormalForm(eng3.weyl.identity, by_token(eng3.lattice, "e1"), eng3.weyl.identity)
+    b = NormalForm(weyl_identity(eng3.weyl), by_token(eng3.lattice, "e1"), weyl_identity(eng3.weyl))
     assert eng3.left_mult_generator(2, b) == b  # s2 is absorbed by e1
 
 
@@ -583,7 +586,7 @@ def test_left_mult_examples(engine):
 @pytest.mark.parametrize("i", [0, 3, -1, 4, "1"])
 def test_left_mult_rejects_an_unknown_index(engine, i):
     eng = engine("A", 3)
-    nf = eng.normal_decompose(eng.weyl.identity)
+    nf = eng.normal_decompose(weyl_identity(eng.weyl))
     with pytest.raises(ValueError, match=f"^no simple reflection with index {i}$"):
         eng.left_mult_generator(i, nf)
 
@@ -600,7 +603,7 @@ def test_decompositions_are_normal_forms_like_the_constructed_ones(engine, eleme
         assert nf == built and hash(nf) == hash(built) and repr(nf) == repr(built)
         assert pickle.dumps(nf) == pickle.dumps(built)
     # length still names a factor outside W, on either side
-    nf = eng.normal_decompose(eng.weyl.identity)
+    nf = eng.normal_decompose(weyl_identity(eng.weyl))
     outsider = PartialInjection.restriction(eng.fam.degree, [1])
     for built in (NormalForm(outsider, nf.e, nf.w2), NormalForm(nf.w1, nf.e, outsider)):
         with pytest.raises(ValueError, match=r"^not an element of the unit group: Partial"):
@@ -609,8 +612,9 @@ def test_decompositions_are_normal_forms_like_the_constructed_ones(engine, eleme
 
 def test_left_mult_rejects_a_normal_form_of_another_degree(engine):
     a2, a3 = engine("A", 2), engine("A", 3)
-    theirs, mine = a2.normal_decompose(a2.weyl.identity), a3.normal_decompose(a3.weyl.identity)
-    for nf in (theirs, NormalForm(a2.weyl.identity, mine.e, mine.w2)):
+    theirs = a2.normal_decompose(weyl_identity(a2.weyl))
+    mine = a3.normal_decompose(weyl_identity(a3.weyl))
+    for nf in (theirs, NormalForm(weyl_identity(a2.weyl), mine.e, mine.w2)):
         with pytest.raises(ValueError, match="^degree mismatch: 3 != 2$"):
             a3.left_mult_generator(1, nf)
 
@@ -657,10 +661,10 @@ def test_solomon_delta_examples(engine):
     weyl, lat = eng.weyl, eng.lattice
     delta = lambda nf: weyl.length(nf.w1) - weyl.length(nf.w2)
     for e in lat.elements:
-        assert delta(NormalForm(weyl.identity, e, weyl.identity)) == 0
+        assert delta(NormalForm(weyl_identity(weyl), e, weyl_identity(weyl))) == 0
     e1 = by_token(lat, "e1")
     assert delta(NormalForm(weyl.s(1), e1, weyl.s(1))) == 0
-    assert delta(NormalForm(weyl.s(1), e1, weyl.identity)) == 1
+    assert delta(NormalForm(weyl.s(1), e1, weyl_identity(weyl))) == 1
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_RANKS)
